@@ -45,6 +45,7 @@ from .mcsim import (
     ThroughputEstimate,
     draw_realization,
     estimate_outage,
+    estimate_outages,
     estimate_throughput,
     sinr_bounds,
     sinr_exact,

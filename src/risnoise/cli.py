@@ -17,8 +17,7 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields as dc_fields, replace
+from dataclasses import dataclass, fields as dc_fields
 from importlib import resources
 
 import mpmath as mp
@@ -27,10 +26,11 @@ import yaml
 
 from . import noise
 from .mcsim import (
+    ConfigError,
     McConfig,
-    WORKERS_ENV,
     draw_realization,
     estimate_outage,
+    estimate_outages,
     sinr_bounds,
     sinr_exact,
 )
@@ -43,7 +43,7 @@ from .noise import (
     table2,
     watts_from_db,
 )
-from .fading import cascade_moments, sample_nakagami
+from .fading import cascade_moments
 from .outage import (
     ANALYTIC_MODES,
     build_link_model,
@@ -51,6 +51,7 @@ from .outage import (
     outage_lb,
     outage_report,
     outage_ub,
+    reliability_flag,
     throughput as map_throughput,
     xi1_closed,
     xi1_oracle,
@@ -82,10 +83,6 @@ TABLE2_TOL_DB = 2.5e-3
 _PARAM_FIELDS = {f.name for f in dc_fields(SystemParams)}
 
 
-class ConfigError(ValueError):
-    """Config file that does not describe a runnable sweep."""
-
-
 @dataclass(frozen=True)
 class SweepGrid:
     axis: str
@@ -99,6 +96,10 @@ class SweepGrid:
     batch: int = 250_000
     ci_level: float = 0.95
     description: str = ""
+
+    @property
+    def mc_config(self) -> McConfig:
+        return McConfig(self.trials, self.seed, self.batch, self.ci_level)
 
 
 def _preset_dir():
@@ -194,29 +195,14 @@ def load_grid(path_or_name: str, *, seed: int | None = None,
         problems.append("modes: noiseless_variant re-emits other modes and "
                         "cannot be the only one selected")
 
-    trials_v = trials if trials is not None else raw.get("trials", 1_000_000)
-    if not isinstance(trials_v, int) or isinstance(trials_v, bool) or trials_v < 1_000:
-        problems.append(f"trials: integer >= 1000 required, got {trials_v!r}")
-        trials_v = 1_000
-    seed_v = seed if seed is not None else raw.get("seed", 20240817)
-    if not isinstance(seed_v, int) or isinstance(seed_v, bool) \
-            or not 0 <= seed_v < 2 ** 64:
-        problems.append(f"seed: unsigned 64-bit integer required, got {seed_v!r}")
-        seed_v = 0
-    batch = raw.get("batch", 250_000)
-    if not isinstance(batch, int) or isinstance(batch, bool) or batch < 1:
-        problems.append(f"batch: positive integer required, got {batch!r}")
-        batch = 250_000
-    ci_level = number("ci_level", 0.95)
-    if not 0.0 < ci_level < 1.0:
-        problems.append(f"ci_level: must lie in (0, 1), got {ci_level!r}")
-        ci_level = 0.95
-
-    grid = SweepGrid(axis=axis, start=float(start), stop=float(stop),
-                     points=points, fixed=dict(fixed), modes=chosen,
-                     trials=trials_v, seed=seed_v, batch=batch,
-                     ci_level=ci_level,
-                     description=str(raw.get("description", "")))
+    grid = SweepGrid(
+        axis=axis, start=float(start), stop=float(stop), points=points,
+        fixed=dict(fixed), modes=chosen,
+        trials=trials if trials is not None else raw.get("trials", 1_000_000),
+        seed=seed if seed is not None else raw.get("seed", 20240817),
+        batch=raw.get("batch", 250_000), ci_level=raw.get("ci_level", 0.95),
+        description=str(raw.get("description", "")))
+    problems += grid.mc_config.problems()
     if axis == "element_count" and not problems:
         for v in np.linspace(grid.start, grid.stop, grid.points):
             if abs(v - round(v)) > 1e-9:
@@ -230,7 +216,8 @@ def load_grid(path_or_name: str, *, seed: int | None = None,
     return grid
 
 
-def _params_at(grid: SweepGrid, value: float) -> SystemParams:
+def _params_at(grid: SweepGrid, value: float, quiet: bool = False) -> SystemParams:
+    """Parameters at one grid value; quiet switches the surface noise off."""
     over = dict(grid.fixed)
     if "pb_dbw" in over:
         over["pb"] = watts_from_db(over.pop("pb_dbw"))
@@ -241,6 +228,8 @@ def _params_at(grid: SweepGrid, value: float) -> SystemParams:
         over[field] = int(round(value))
     else:
         over[field] = float(value)
+    if quiet:
+        over["ris_noise"] = False
     return SystemParams(**over)
 
 
@@ -252,37 +241,35 @@ def _fmt(v) -> str:
     return format(float(v), ".10g")
 
 
-def _point_rows(grid: SweepGrid, value: float) -> list[list[str]]:
-    noiseless = "noiseless_variant" in grid.modes
+def _variants(grid: SweepGrid) -> list[tuple[str, bool]]:
+    """(mode, quiet) per row of a grid point, in CSV order."""
     base = [m for m in grid.modes if m != "noiseless_variant"]
-    variants = [(m, False) for m in base]
-    if noiseless:
-        variants += [(m, True) for m in base]
-    rows = []
-    cache = {}
-    for mode, quiet in variants:
-        params = _params_at(grid, value)
-        if quiet:
-            params = replace(params, ris_noise=False)
-        if ("link", quiet) not in cache:
-            link = build_link_model(params)
-            cache[("link", quiet)] = (link, outage_report(link))
-        link, rep = cache[("link", quiet)]
+    quiet = (False, True) if "noiseless_variant" in grid.modes else (False,)
+    return [(m, q) for q in quiet for m in base]
+
+
+def _point_rows(grid: SweepGrid, value: float, mc: dict) -> list[list[str]]:
+    """CSV rows of one grid point; mc maps (value, mode, quiet) to its estimate."""
+    analytic = any(m in ANALYTIC_MODES for m in grid.modes)
+    rows, cache = [], {}
+    for mode, quiet in _variants(grid):
+        if quiet not in cache:
+            link = build_link_model(_params_at(grid, value, quiet))
+            cache[quiet] = (link, outage_report(link) if analytic else None)
+        link, rep = cache[quiet]
         if mode in ANALYTIC_MODES:
             po = {"analytic_lb": rep.outage_lb, "analytic_ub": rep.outage_ub,
                   "asymptotic": rep.outage_asym}[mode]
             ci_lo = ci_hi = None
         else:
-            cfg = McConfig(trials=grid.trials, seed=grid.seed,
-                           batch=grid.batch, ci_level=grid.ci_level)
-            est = estimate_outage(params, cfg, which=mode.removeprefix("mc_"),
-                                  workers=1)
+            est = mc[(value, mode, quiet)]
             po, ci_lo, ci_hi = est.p_hat, est.ci_lo, est.ci_hi
-        name = mode + ("_noiseless" if quiet else "")
-        rows.append([_fmt(value), name, _fmt(po), _fmt(ci_lo), _fmt(ci_hi),
-                     _fmt(map_throughput(po, params.rate)), _fmt(rep.lam),
-                     _fmt(rep.delta), _fmt(rep.zeta),
-                     str(rep.reliability_flag)])
+        lam = link.budget.lam
+        rows.append([_fmt(value), mode + ("_noiseless" if quiet else ""),
+                     _fmt(po), _fmt(ci_lo), _fmt(ci_hi),
+                     _fmt(map_throughput(po, link.params.rate)), _fmt(lam),
+                     _fmt(link.approx.delta), _fmt(link.approx.zeta),
+                     str(reliability_flag(lam))])
     return rows
 
 
@@ -291,30 +278,26 @@ def run_sweep(config: str, out_path: str, *, seed: int | None = None,
               workers: int | None = None) -> int:
     """Evaluate a sweep config and write the CSV; returns the row count.
 
-    Grid points go to a small worker pool (RISNOISE_WORKERS, default 1) but
-    rows are always written in grid order, so output is deterministic.
+    Every Monte Carlo row of the sweep goes to one estimate_outages call,
+    which spreads the batches of each fading key over `workers` threads
+    (RISNOISE_WORKERS when None, default 1).  Analytic rows run on the
+    calling thread.  Output depends on neither, so it is deterministic.
     """
     grid = load_grid(config, seed=seed, trials=trials, modes=modes)
     # builtin floats from here down; numpy scalars would leak into the
     # arbitrary-precision layer, which refuses them
     values = [float(v) for v in np.linspace(grid.start, grid.stop, grid.points)]
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
-    workers = max(1, workers)
-    if workers == 1:
-        per_point = [_point_rows(grid, v) for v in values]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_point = list(pool.map(lambda v: _point_rows(grid, v), values))
+    triples = [(v, mode, quiet) for v in values
+               for mode, quiet in _variants(grid) if mode in MC_MODES]
+    requests = [(_params_at(grid, v, quiet), mode.removeprefix("mc_"))
+                for v, mode, quiet in triples]
+    mc = dict(zip(triples, estimate_outages(requests, grid.mc_config, workers)))
+    rows = [row for v in values for row in _point_rows(grid, v, mc)]
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        count = 0
-        for rows in per_point:
-            for row in rows:
-                writer.writerow(row)
-                count += 1
-    return count
+        writer.writerows(rows)
+    return len(rows)
 
 
 def write_gnuplot_script(csv_path: str, script_path: str, modes) -> None:
@@ -523,16 +506,13 @@ def _cmd_sweep(args) -> int:
     try:
         count = run_sweep(args.config, args.out, seed=args.seed,
                           trials=args.trials, modes=modes)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {count} rows to {args.out}")
     if args.gnuplot:
         grid = load_grid(args.config, modes=modes)
-        base = [m for m in grid.modes if m != "noiseless_variant"]
-        names = list(base)
-        if "noiseless_variant" in grid.modes:
-            names += [m + "_noiseless" for m in base]
+        names = [m + ("_noiseless" if q else "") for m, q in _variants(grid)]
         write_gnuplot_script(args.out, args.gnuplot, names)
         print(f"wrote plot script to {args.gnuplot}")
     return 0

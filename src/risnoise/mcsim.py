@@ -14,6 +14,11 @@ Work is partitioned into fixed-size batches, each with its own
 counter-derived stream, so the estimate for a given (seed, trials, batch)
 is bit-identical no matter how many workers run the batches.  The batch
 size is therefore part of the seeding contract, not a tuning knob.
+
+estimate_outages groups requests by fading key (the parameters the draws
+depend on); each (fading key, batch index) job draws once and counts every
+request of the key against its own noise budget.  These jobs are the only
+parallel work in the package, run by RISNOISE_WORKERS threads (default 1).
 """
 from __future__ import annotations
 
@@ -36,7 +41,7 @@ _NORMAL_CI_MIN_COUNT = 30
 
 
 class ConfigError(ValueError):
-    """Simulation configuration that cannot produce a trustworthy estimate."""
+    """Sweep or simulation configuration that cannot run as given."""
 
 
 @dataclass(frozen=True)
@@ -46,18 +51,24 @@ class McConfig:
     batch: int = 250_000
     ci_level: float = 0.95
 
+    def problems(self) -> list[str]:
+        """One line per field that cannot run, naming the field."""
+        out = []
+        for name, low, high, what in (
+                ("trials", 1_000, math.inf, "integer >= 1000 (for a confidence interval)"),
+                ("seed", 0, 2 ** 64, "unsigned 64-bit integer"),
+                ("batch", 1, math.inf, "positive integer")):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool) or not low <= v < high:
+                out.append(f"{name}: {what} required, got {v!r}")
+        if not isinstance(self.ci_level, float) or not 0.0 < self.ci_level < 1.0:
+            out.append(f"ci_level: must lie in (0, 1), got {self.ci_level!r}")
+        return out
+
     def validate(self) -> None:
-        if not isinstance(self.trials, int) or isinstance(self.trials, bool):
-            raise ConfigError(f"trials must be an integer, got {self.trials!r}")
-        if self.trials < 1_000:
-            raise ConfigError(
-                f"need at least 1000 trials for a confidence interval, got {self.trials}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
-            raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
-        if not isinstance(self.batch, int) or self.batch < 1:
-            raise ConfigError(f"batch must be a positive integer, got {self.batch!r}")
-        if not 0.0 < self.ci_level < 1.0:
-            raise ConfigError(f"ci_level must lie in (0, 1), got {self.ci_level!r}")
+        problems = self.problems()
+        if problems:
+            raise ConfigError("invalid Monte Carlo config: " + "; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -152,22 +163,23 @@ def _batch_rng(seed: int, index: int) -> np.random.Generator:
         np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
-    return max(1, workers)
+# the fading key: the SystemParams fields draw_realization depends on
+_FADING_FIELDS = ("n", "m_bn", "m_nd", "d_bn", "d_nd", "tau_bn", "tau_nd", "phi_ref")
 
 
-def _count_outages(params: SystemParams, budget: NoiseBudget, which: str,
-                   ups: float, seed: int, index: int, size: int) -> int:
-    rng = _batch_rng(seed, index)
-    x, y = draw_realization(params, rng, size=size)
-    if which == "exact":
-        sinr = sinr_exact(x, y, budget)
-    else:
-        lb, ub = sinr_bounds(x, y, budget)
-        sinr = lb if which == "lb" else ub
-    return int(np.count_nonzero(sinr < ups))
+def _count_batch(params: SystemParams, counted, seed: int, index: int,
+                 size: int) -> list[tuple[int, int]]:
+    # one draw of batch `index`; (request, outage count) per counted request
+    x, y = draw_realization(params, _batch_rng(seed, index), size=size)
+    out = []
+    for i, budget, which in counted:
+        if which == "exact":
+            sinr = sinr_exact(x, y, budget)
+        else:
+            lb, ub = sinr_bounds(x, y, budget)
+            sinr = lb if which == "lb" else ub
+        out.append((i, int(np.count_nonzero(sinr < budget.ups_th))))
+    return out
 
 
 def binomial_ci(successes: int, trials: int, level: float) -> tuple[float, float]:
@@ -190,28 +202,45 @@ def binomial_ci(successes: int, trials: int, level: float) -> tuple[float, float
     return lo, hi
 
 
+def estimate_outages(requests, config: McConfig = McConfig(),
+                     workers: int | None = None) -> list[McEstimate]:
+    """One estimate per (params, which) request, in request order.
+
+    Each request gets exactly the counts estimate_outage would give it
+    alone; requests with the same fading key share each batch's draw.
+    """
+    config.validate()
+    groups: dict[tuple, tuple] = {}
+    for i, (params, which) in enumerate(requests):
+        if which not in _SELECTORS:
+            raise ValueError(f"which must be one of {_SELECTORS}, got {which!r}")
+        key = tuple(getattr(params, f) for f in _FADING_FIELDS)
+        groups.setdefault(key, (params, []))[1].append(
+            (i, build_noise_budget(params), which))
+    jobs = [(params, counted, config.seed, index, size)
+            for params, counted in groups.values()
+            for index, size in enumerate(_batch_sizes(config.trials, config.batch))]
+    if workers is None:
+        workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
+    if workers <= 1 or len(jobs) <= 1:
+        per_job = [_count_batch(*job) for job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_job = list(pool.map(lambda job: _count_batch(*job), jobs))
+    successes = [0] * len(requests)
+    for counts in per_job:
+        for i, c in counts:
+            successes[i] += c
+    return [McEstimate(s / config.trials,
+                       *binomial_ci(s, config.trials, config.ci_level),
+                       trials_used=config.trials) for s in successes]
+
+
 def estimate_outage(params: SystemParams, config: McConfig = McConfig(),
                     which: str = "exact",
                     workers: int | None = None) -> McEstimate:
     """Fraction of fading draws whose selected SINR falls below the threshold."""
-    if which not in _SELECTORS:
-        raise ValueError(f"which must be one of {_SELECTORS}, got {which!r}")
-    config.validate()
-    budget = build_noise_budget(params)
-    ups = budget.ups_th
-    sizes = _batch_sizes(config.trials, config.batch)
-    jobs = [(params, budget, which, ups, config.seed, i, s)
-            for i, s in enumerate(sizes)]
-    nworkers = _resolve_workers(workers)
-    if nworkers == 1 or len(jobs) == 1:
-        counts = [_count_outages(*j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            counts = list(pool.map(lambda j: _count_outages(*j), jobs))
-    successes = sum(counts)
-    lo, hi = binomial_ci(successes, config.trials, config.ci_level)
-    return McEstimate(p_hat=successes / config.trials, ci_lo=lo, ci_hi=hi,
-                      trials_used=config.trials)
+    return estimate_outages([(params, which)], config, workers)[0]
 
 
 def estimate_throughput(params: SystemParams, config: McConfig = McConfig(),

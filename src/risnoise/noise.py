@@ -8,7 +8,8 @@ internally; dB values (dBW) appear only at I/O boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, fields
 
 # Exact SI Boltzmann constant (2019 redefinition), J/K.
 BOLTZMANN = 1.380649e-23
@@ -114,7 +115,16 @@ class SystemParams:
     sigma_r2: float | None = None
 
     def validate(self) -> None:
+        # NaN passes every range check below and inf breaks the noise budget
         problems = []
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name not in ("n", "ris_noise") and v is not None and (
+                    isinstance(v, bool) or not isinstance(v, numbers.Real)
+                    or not math.isfinite(v)):
+                problems.append(f"{f.name}: finite number required, got {v!r}")
+        if problems:
+            raise ValueError("invalid system parameters: " + "; ".join(problems))
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             problems.append(f"n: positive integer required, got {self.n!r}")
         if not 0.0 < self.alpha <= 1.0:

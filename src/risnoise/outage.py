@@ -293,6 +293,11 @@ class OutageReport:
     reliability_flag: int
 
 
+def reliability_flag(lam: float) -> int:
+    """1 where the surface noise is on but too weak for the bracket to matter."""
+    return int(0.0 < lam < LAMBDA_RELIABILITY_FLOOR)
+
+
 def outage_report(link: LinkModel) -> OutageReport:
     ups = link.budget.ups_th
     x1, x2 = xi1_closed(link, ups), xi2(link, ups)
@@ -304,7 +309,7 @@ def outage_report(link: LinkModel) -> OutageReport:
         throughput=throughput(po_lb, link.params.rate),
         diversity_order=diversity_order(link.approx),
         lam=lam, delta=link.approx.delta, zeta=link.approx.zeta,
-        reliability_flag=int(0.0 < lam < LAMBDA_RELIABILITY_FLOOR))
+        reliability_flag=reliability_flag(lam))
 
 
 ANALYTIC_MODES = ("analytic_lb", "analytic_ub", "asymptotic")

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from risnoise import noise
+import risnoise
+from risnoise import mcsim, noise, outage
 from risnoise.cli import (
     ALL_MODES,
     CSV_HEADER,
@@ -132,6 +133,17 @@ class TestLoadGrid:
         with pytest.raises(ConfigError, match="mapping"):
             load_grid(path)
 
+    def test_monte_carlo_settings_are_checked_by_their_config(self, tmp_path):
+        path = write_config(tmp_path, "trials: 10\nseed: -1\nbatch: true\n"
+                                      "ci_level: 1.5\n")
+        with pytest.raises(ConfigError) as err:
+            load_grid(path)
+        for field in ("trials", "seed", "batch", "ci_level"):
+            assert f"{field}:" in str(err.value)
+
+    def test_one_config_error_class(self):
+        assert ConfigError is risnoise.ConfigError is mcsim.ConfigError
+
     def test_unknown_preset_lists_the_real_ones(self):
         with pytest.raises(ConfigError, match="fig1_n5"):
             load_grid("no_such_preset")
@@ -223,6 +235,32 @@ class TestSweepCsv:
         run_sweep(config, pooled, workers=3)
         with open(out, "rb") as a, open(pooled, "rb") as b:
             assert a.read() == b.read()
+
+    def test_analytic_rows_do_not_depend_on_worker_count(self, tmp_path):
+        # mpmath's working precision is process-global, so analytic rows
+        # evaluated on pool threads would race on it
+        config = write_config(tmp_path, (
+            "start: -72.0\nstop: -58.0\npoints: 8\nfixed: {n: 10}\n"
+            "modes: [analytic_lb, analytic_ub]\n"))
+        serial, pooled = str(tmp_path / "serial.csv"), str(tmp_path / "pooled.csv")
+        run_sweep(config, serial, workers=1)
+        run_sweep(config, pooled, workers=4)
+        with open(serial, "rb") as a, open(pooled, "rb") as b:
+            assert a.read() == b.read()
+
+    def test_monte_carlo_only_sweep_runs_no_interference_series(
+            self, sweep, tmp_path, monkeypatch):
+        config, out, _ = sweep
+
+        def no_series(*args, **kwargs):
+            raise AssertionError("a Monte Carlo-only sweep evaluated xi1")
+
+        monkeypatch.setattr(outage, "xi1_closed", no_series)
+        mc_only = str(tmp_path / "mc_only.csv")
+        run_sweep(config, mc_only, modes=("mc_exact", "noiseless_variant"))
+        # the link-model columns match the rows of the mixed sweep
+        want = [r for r in read_rows(out)[1:] if r[1].startswith("mc_")]
+        assert read_rows(mc_only)[1:] == want
 
     def test_delta_zeta_shared_between_variants(self, sweep):
         # fading stats do not depend on the noise switch
@@ -319,6 +357,15 @@ class TestMain:
                    str(tmp_path / "x.csv")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_sweep_non_finite_parameter_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL_SWEEP.replace(
+            "  n: 5\n", "  n: 5\n  temp: .inf\n"))
+        rc = main(["sweep", "--config", config, "--out",
+                   str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "temp" in err
 
     def test_sweep_writes_gnuplot_companion(self, tmp_path, capsys):
         config = write_config(tmp_path, SMALL_SWEEP)

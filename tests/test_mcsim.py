@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from risnoise import mcsim
 from risnoise.fading import cascade_moments
 from risnoise.mcsim import (
     ConfigError,
@@ -13,6 +14,7 @@ from risnoise.mcsim import (
     binomial_ci,
     draw_realization,
     estimate_outage,
+    estimate_outages,
     estimate_throughput,
     sinr_bounds,
     sinr_exact,
@@ -209,6 +211,41 @@ class TestEstimateOutage:
                 estimate_outage(params, cfg)
         with pytest.raises(ValueError):
             estimate_outage(params, McConfig(trials=10_000), which="both")
+
+    def test_config_names_every_problem(self):
+        with pytest.raises(ConfigError) as err:
+            McConfig(trials=True, seed=False, batch=True, ci_level=1.0).validate()
+        msg = str(err.value)
+        for field in ("trials", "seed", "batch", "ci_level"):
+            assert f"{field}:" in msg
+
+
+class TestEstimateOutages:
+    def test_shared_draws_match_separate_estimates(self, monkeypatch):
+        # a power axis with noiseless twins: one fading key, so each batch
+        # is drawn once for all twelve requests
+        requests = [(SystemParams(n=5, pb=10.0 ** (dbw / 10.0), ris_noise=noisy), which)
+                    for dbw in (-70.0, -68.0, -66.0) for noisy in (True, False)
+                    for which in ("exact", "ub")]
+        cfg = McConfig(trials=20_000, seed=9, batch=6_000)
+        separate = [estimate_outage(p, cfg, which=w) for p, w in requests]
+        draws = []
+        original = mcsim.draw_realization
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mcsim, "draw_realization", counted)
+        assert estimate_outages(requests, cfg, workers=2) == separate
+        assert len(draws) == 4   # batches of 6000, 6000, 6000 and 2000
+
+    def test_each_fading_key_draws_its_own_batches(self):
+        requests = [(SystemParams(n=n, pb=1e-7), "exact") for n in (4, 6)]
+        cfg = McConfig(trials=4_000, seed=5, batch=1_000)
+        together = estimate_outages(requests, cfg)
+        assert together == [estimate_outage(p, cfg) for p, _ in requests]
+        assert together[0] != together[1]
 
 
 class TestEstimateThroughput:
