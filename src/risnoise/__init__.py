@@ -35,6 +35,7 @@ from .outage import (
     outage_ub,
     power_for_outage,
     throughput,
+    xi1,
     xi1_closed,
     xi1_oracle,
     xi2,

@@ -53,6 +53,7 @@ from .outage import (
     outage_ub,
     reliability_flag,
     throughput as map_throughput,
+    xi1,
     xi1_closed,
     xi1_oracle,
     xi2,
@@ -382,13 +383,17 @@ def _checks_fast() -> list[tuple[str, bool, str]]:
     out.append(_check("meijer-exp", worst < 1e-12, f"max rel err {worst:.2e}"))
 
     worst = 0.0
+    worst_prod = 0.0
     for n, pb_dbw in ((5, -65.0), (10, -65.0), (20, -60.0)):
         link = build_link_model(SystemParams(n=n, pb=10.0 ** (pb_dbw / 10.0)))
         series = xi1_closed(link)
         oracle = xi1_oracle(link, integer_shape=True)
         worst = max(worst, abs(series - oracle) / max(oracle, 1e-300))
+        worst_prod = max(worst_prod, abs(xi1(link) - series) / max(series, 1e-300))
     out.append(_check("series-vs-quadrature", worst < 1e-6,
                       f"max rel err {worst:.2e}"))
+    out.append(_check("production-vs-series", worst_prod < 1e-12,
+                      f"max rel err {worst_prod:.2e}"))
 
     ok = True
     for pb_dbw in np.linspace(-75.0, -50.0, 10):

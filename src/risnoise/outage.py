@@ -11,9 +11,14 @@ bounds the SINR within a factor of two, so the outage composed from
 as 1 - (1 - xi1)(1 - xi2) brackets the true outage when evaluated at ups
 (lower bound) and 2*ups (upper bound).
 
-xi1 has a closed series form over the integer-rounded cascade shape, each
-term one restricted Meijer-G value; xi1_oracle integrates the defining
-probability directly and exists to check the series, not to replace it.
+xi1 is the expectation E_Y[P(dint, c*sqrt(Y))] over the exact Gamma law of
+Y, with P the regularized lower incomplete gamma at the integer-rounded
+cascade shape dint.  The production route xi1 evaluates it in double
+precision by an exponentially convergent trapezoid rule; every analytic
+output (outage_lb, outage_ub, outage_report, power_for_outage) goes through
+it.  Two check-only oracles are kept beside it: xi1_closed, the paper's
+closed series (one restricted Meijer-G value per term, summed in mpmath),
+and xi1_oracle, an adaptive quadrature of the defining probability.
 """
 from __future__ import annotations
 
@@ -21,8 +26,9 @@ import math
 from dataclasses import dataclass, replace
 
 import mpmath as mp
+import numpy as np
 from scipy import optimize
-from scipy.special import logsumexp
+from scipy.special import gammainc, gammaincc, logsumexp
 
 from .fading import CascadeApprox, cascade_approx, cdf_X, pdf_Y, y_gamma_params
 from .noise import NoiseBudget, SystemParams, build_noise_budget, path_loss
@@ -77,11 +83,66 @@ def xi2(link: LinkModel, ups: float | None = None) -> float:
     return reg_lower_gamma(link.approx.delta, arg)
 
 
+# nodes whose Gamma weight sits this many e-folds below the peak weight
+# carry nothing a double can hold next to it
+_LOG_TINY = -745.0
+
+
+def xi1(link: LinkModel, ups: float | None = None) -> float:
+    """Interference-limited outage factor P(psi*X/(lam*Y) < ups).
+
+    The production route.  With Y ~ Gamma(a, rate) exact and
+    c = sqrt(lam*ups/psi)/zeta,
+
+      xi1 = E_Y[P(dint, c*sqrt(Y))],
+
+    the expectation that the series of xi1_closed sums in closed form.  It
+    is evaluated by the trapezoid rule in u = log(rate*Y/a), where the Gamma
+    weight is proportional to exp(a*(u - expm1(u))): analytic in a strip
+    and double-exponentially decaying on one side, so the rule converges
+    exponentially in 1/h (Trefethen & Weideman, SIAM Review 2014).  The
+    integrand's width is set by the weight's shape a together with P's
+    shape dint (in the tail it behaves like a Gamma(a + dint/2) density),
+    hence the step min(1/4, 0.4/sqrt(a + dint/2)).  Dividing by the summed
+    weights cancels the Gamma normalisation, and near saturation the
+    result is formed as 1 - sum(w*Q) / sum(w) with the upper function Q,
+    which keeps the saturated end exact instead of a few ulps off.  Double
+    precision throughout, no module state, safe to call from any thread.
+    Relative accuracy is about 1e-12 down to values near 1e-300, where the
+    products w*P turn subnormal.
+    """
+    if ups is None:
+        ups = link.budget.ups_th
+    if ups < 0.0:
+        raise ValueError(f"threshold must be nonnegative, got {ups!r}")
+    lam, psi = link.budget.lam, link.budget.psi
+    if lam == 0.0 or ups == 0.0:
+        return 0.0
+    a = link.y_shape
+    dint = link.approx.delta_int
+    h = min(0.25, 0.4 / math.sqrt(a + dint / 2.0))
+    # past these ends the log-weight a*(u - expm1(u)) is below _LOG_TINY
+    u_lo, u_hi = -1.0 + _LOG_TINY / a, math.log(2.0 - 2.0 * _LOG_TINY / a)
+    u = h * np.arange(math.floor(u_lo / h), math.ceil(u_hi / h) + 1)
+    log_w = a * (u - np.expm1(u))
+    keep = log_w >= _LOG_TINY
+    u, w = u[keep], np.exp(log_w[keep])
+    c = math.sqrt(lam * ups / psi) / link.approx.zeta
+    x = c * math.sqrt(a / link.y_rate) * np.exp(0.5 * u)
+    # w*P <= w termwise and both sums add in the same order, so both forms
+    # stay in [0, 1]
+    total = np.sum(w)
+    lower = float(np.sum(w * gammainc(dint, x)) / total)
+    if lower <= 0.5:
+        return lower
+    return float(1.0 - np.sum(w * gammaincc(dint, x)) / total)
+
+
 _XI1_MAX_DPS = 2000
 
 
 def xi1_closed(link: LinkModel, ups: float | None = None) -> float:
-    """Interference-limited outage factor P(psi*X/(lam*Y) < ups), closed form.
+    """Check route for xi1: the paper's closed series, in mpmath.
 
     Series over the integer-rounded cascade shape dint:
 
@@ -208,13 +269,13 @@ def compose_outage(xi1: float, xi2: float) -> float:
 def outage_lb(link: LinkModel) -> float:
     """Lower bound on outage: the two-factor form at the plain threshold."""
     ups = link.budget.ups_th
-    return compose_outage(xi1_closed(link, ups), xi2(link, ups))
+    return compose_outage(xi1(link, ups), xi2(link, ups))
 
 
 def outage_ub(link: LinkModel) -> float:
     """Upper bound on outage: same form at twice the threshold."""
     ups = 2.0 * link.budget.ups_th
-    return compose_outage(xi1_closed(link, ups), xi2(link, ups))
+    return compose_outage(xi1(link, ups), xi2(link, ups))
 
 
 def _clamp_unit(x: float) -> float:
@@ -300,7 +361,7 @@ def reliability_flag(lam: float) -> int:
 
 def outage_report(link: LinkModel) -> OutageReport:
     ups = link.budget.ups_th
-    x1, x2 = xi1_closed(link, ups), xi2(link, ups)
+    x1, x2 = xi1(link, ups), xi2(link, ups)
     po_lb = compose_outage(x1, x2)
     lam = link.budget.lam
     return OutageReport(

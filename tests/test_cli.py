@@ -255,6 +255,7 @@ class TestSweepCsv:
         def no_series(*args, **kwargs):
             raise AssertionError("a Monte Carlo-only sweep evaluated xi1")
 
+        monkeypatch.setattr(outage, "xi1", no_series)
         monkeypatch.setattr(outage, "xi1_closed", no_series)
         mc_only = str(tmp_path / "mc_only.csv")
         run_sweep(config, mc_only, modes=("mc_exact", "noiseless_variant"))

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import mpmath as mp
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from risnoise import outage
 from risnoise.noise import SystemParams
 from risnoise.outage import (
     DIAGNOSTICS,
@@ -21,6 +23,7 @@ from risnoise.outage import (
     outage_ub,
     power_for_outage,
     throughput,
+    xi1,
     xi1_asymptotic,
     xi1_closed,
     xi1_oracle,
@@ -150,6 +153,53 @@ class TestXi1Closed:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
+class TestXi1:
+    @pytest.mark.parametrize("n", [1, 3, 5, 10, 20, 64, 256])
+    @pytest.mark.parametrize("m_nd", [0.5, 1.3, 2.0])
+    def test_matches_quadrature_route(self, n, m_nd):
+        for pb_dbw in range(-86, -39, 2):
+            link = link_at(float(pb_dbw), n=n, m_nd=m_nd)
+            for ups in (link.budget.ups_th, 2.0 * link.budget.ups_th):
+                want = xi1_oracle(link, ups, integer_shape=True, rtol=1e-12)
+                # atol: below the normal range (2.2e-308) a double no longer
+                # carries the 37 bits that rtol 1e-11 asks for
+                assert_allclose(xi1(link, ups), want, rtol=1e-11, atol=1e-300,
+                                err_msg=f"pb={pb_dbw} dBW, ups={ups}")
+
+    def test_pinned_where_the_series_is_off(self):
+        # a 40-digit quadrature of the defining integral gives
+        # 2.19908213166229e-18 here; the series returns 2.1990821316931533e-18
+        link = link_at(-40.0, n=5)
+        assert_allclose(xi1(link), 2.19908213166229e-18, rtol=1e-12)
+
+    def test_edges(self):
+        link = link_at(-65.0)
+        assert xi1(link, 0.0) == 0.0
+        assert xi1(link_at(-65.0, ris_noise=False)) == 0.0
+        assert xi1(link_at(-65.0, sigma_r2=0.0)) == 0.0
+        assert xi1(link_at(-86.0, n=10)) == 1.0
+        with pytest.raises(ValueError):
+            xi1(link, -1.0)
+
+    def test_production_path_uses_no_arbitrary_precision(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("arbitrary precision on the production path")
+
+        monkeypatch.setattr(outage, "meijer_g_2_1_1_2_mpf", refuse)
+        monkeypatch.setattr(mp, "workdps", refuse)
+        link = link_at(-66.0, n=10)
+        assert 0.0 < outage_lb(link) < outage_ub(link) < 1.0
+        assert outage_report(link).outage_lb == outage_lb(link)
+
+    def test_threads_give_the_serial_values(self):
+        links = [link_at(p, n=n) for n in (5, 10, 20, 64)
+                 for p in (-75.0, -68.0, -62.0, -55.0)]
+        serial = [outage_lb(k) for k in links]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            pooled = list(pool.map(outage_lb, links))
+        assert pooled == serial
+
+
 class TestCompose:
     def test_formula(self):
         assert_allclose(compose_outage(0.25, 0.5), 1.0 - 0.75 * 0.5, rtol=1e-15)
@@ -189,8 +239,9 @@ class TestBounds:
     def test_upper_is_lower_at_doubled_threshold(self):
         link = link_at(-66.0, n=10)
         ups = link.budget.ups_th
-        want = compose_outage(xi1_closed(link, 2 * ups), xi2(link, 2 * ups))
+        want = compose_outage(xi1(link, 2 * ups), xi2(link, 2 * ups))
         assert outage_ub(link) == want
+        assert_allclose(xi1(link, 2 * ups), xi1_closed(link, 2 * ups), rtol=1e-12)
 
     def test_noiseless_equals_xi2_bitwise(self):
         link = link_at(-66.0, n=10, ris_noise=False)
@@ -280,7 +331,8 @@ class TestOutageReport:
         link = link_at(-66.0, n=10)
         rep = outage_report(link)
         assert isinstance(rep, OutageReport)
-        assert rep.xi1 == xi1_closed(link)
+        assert rep.xi1 == xi1(link)
+        assert_allclose(rep.xi1, xi1_closed(link), rtol=1e-12)
         assert rep.xi2 == xi2(link)
         assert rep.outage_lb == outage_lb(link)
         assert rep.outage_ub == outage_ub(link)
