@@ -285,9 +285,7 @@ def run_sweep(config: str, out_path: str, *, seed: int | None = None,
     calling thread.  Output depends on neither, so it is deterministic.
     """
     grid = load_grid(config, seed=seed, trials=trials, modes=modes)
-    # builtin floats from here down; numpy scalars would leak into the
-    # arbitrary-precision layer, which refuses them
-    values = [float(v) for v in np.linspace(grid.start, grid.stop, grid.points)]
+    values = np.linspace(grid.start, grid.stop, grid.points)
     triples = [(v, mode, quiet) for v in values
                for mode, quiet in _variants(grid) if mode in MC_MODES]
     requests = [(_params_at(grid, v, quiet), mode.removeprefix("mc_"))

@@ -34,18 +34,15 @@ from .fading import CascadeApprox, cascade_approx, cdf_X, pdf_Y, y_gamma_params
 from .noise import NoiseBudget, SystemParams, build_noise_budget, path_loss
 from .specfun import (
     AccuracyError,
+    _slater_loss_digits,
     integrate_semi_infinite,
     meijer_g_2_1_1_2_mpf,
     reg_lower_gamma,
-    slater_dps,
 )
 
 # lam below this floor (but nonzero) marks a regime where the two-factor
 # bracket adds nothing over the noise-only result; rows carry it as a flag
 LAMBDA_RELIABILITY_FLOOR = 1e-2
-
-# incremented whenever an asymptotic factor had to be clamped into [0, 1]
-DIAGNOSTICS = {"asymptotic_clamped": 0}
 
 
 @dataclass(frozen=True)
@@ -179,8 +176,8 @@ def xi1_closed(link: LinkModel, ups: float | None = None) -> float:
     if logsumexp(log_terms) < math.log(1e-18):
         return 1.0
     alpha_max = mn + (dint - 1) / 2.0 + 0.5
-    loss = 1.7372 * math.sqrt(z * (alpha_max + 0.5))
-    dps = slater_dps(alpha_max, z, guard=12)
+    loss = _slater_loss_digits(alpha_max, z)
+    dps = 16 + int(loss) + 12
     best = math.nan
     while True:
         with mp.workdps(dps):
@@ -278,13 +275,6 @@ def outage_ub(link: LinkModel) -> float:
     return compose_outage(xi1(link, ups), xi2(link, ups))
 
 
-def _clamp_unit(x: float) -> float:
-    if x > 1.0:
-        DIAGNOSTICS["asymptotic_clamped"] += 1
-        return 1.0
-    return max(x, 0.0)
-
-
 def xi1_asymptotic(link: LinkModel, ups: float | None = None) -> float:
     """High-power limit of xi1 (real shape), evaluated in log space."""
     if ups is None:
@@ -298,7 +288,7 @@ def xi1_asymptotic(link: LinkModel, ups: float | None = None) -> float:
                + math.lgamma(link.y_shape + d / 2.0)
                - math.log(d) - math.lgamma(d) - math.lgamma(link.y_shape)
                + d * math.log(b))
-    return _clamp_unit(math.exp(min(log_val, 1.0)))
+    return math.exp(min(log_val, 0.0))
 
 
 def xi2_asymptotic(link: LinkModel, ups: float | None = None) -> float:
@@ -310,7 +300,7 @@ def xi2_asymptotic(link: LinkModel, ups: float | None = None) -> float:
     d = link.approx.delta
     b = math.sqrt(ups / link.budget.psi) / link.approx.zeta
     log_val = -math.log(d) - math.lgamma(d) + d * math.log(b)
-    return _clamp_unit(math.exp(min(log_val, 1.0)))
+    return math.exp(min(log_val, 0.0))
 
 
 def outage_asymptotic(link: LinkModel) -> float:

@@ -130,43 +130,9 @@ SLATER_GOOD_DIGITS = 17
 def _slater_loss_digits(alpha: float, z: float) -> float:
     # both 1F1 terms reach ~exp(z + 2 sqrt(z alpha)) while G ~ exp(z - ...):
     # the subtraction cancels about 4 sqrt(z alpha)/ln10 decimal digits; once
-    # z is large next to alpha the real loss grows like z/ln10 and outruns this
+    # z is large next to alpha the real loss grows like z/ln10 and outruns
+    # this, and the realized-cancellation check sends the caller round again
     return 1.7372 * math.sqrt(max(z, 0.0) * (alpha + 0.5))
-
-
-def _slater_cancellation(alpha: float, z: float) -> float:
-    """Laplace estimate of log10(max Slater term / |G|) in digits.
-
-    With t = u^2 the terms are about int u^(2 al - 1) e^(-u^2 + 2 sqrt(z) u) du
-    and G/sqrt(pi) is the same integral with e^(-2 sqrt(z) u); both are
-    estimated at their peaks.  Unlike the sqrt(z*al) rule this holds once z
-    is large next to al, where the loss grows like (z + 2 al ln z)/ln10.
-    """
-    b = max(2.0 * alpha - 1.0, 1.0)
-    rz = math.sqrt(z)
-    logs = []
-    for sign in (1.0, -1.0):
-        u = 0.5 * (sign * rz + math.sqrt(z + 2.0 * b))
-        logs.append(b * math.log(u) - u * u + sign * 2.0 * rz * u
-                    - 0.5 * math.log(2.0 + b / (u * u)))
-    return (logs[0] - logs[1] - math.log(2.0)) / math.log(10.0)
-
-
-def slater_dps(alpha: float, z: float, guard: int) -> int:
-    """First-pass working precision for the Slater subtraction at shape alpha.
-
-    16 + guard digits past the sqrt(z*alpha) cancellation estimate.  At deep
-    low power (z large next to alpha; -77 dBW and below at n = 10, 2 m)
-    that estimate falls short by tens of digits and the first pass would be
-    refused; there the start is 16 + guard digits past the Laplace estimate,
-    which tracks the realized loss to about 0.1 digit.  Elsewhere the sqrt
-    rule is kept, so those results and their cost do not change.
-    """
-    dps = 16 + int(_slater_loss_digits(alpha, z)) + guard
-    cancel = _slater_cancellation(alpha, z)
-    if dps - cancel < SLATER_GOOD_DIGITS:
-        dps = 16 + int(cancel) + guard
-    return dps
 
 
 def meijer_g_2_1_1_2_mpf(a1, z) -> mp.mpf:
@@ -205,10 +171,10 @@ _SLATER_MAX_DPS = 2000
 def meijer_g_2_1_1_2(a1: float, z: float) -> float:
     """G^{2,1}_{1,2}(z | a1; 0, 1/2) for 1 - a1 > 0, z >= 0, as a float.
 
-    Runs the Slater expansion at slater_dps precision (10 guard digits) and
-    raises the precision until SLATER_GOOD_DIGITS correct digits survive the
-    realized cancellation; AccuracyError once that needs more than
-    _SLATER_MAX_DPS digits.
+    Runs the Slater expansion 10 guard digits past the sqrt(z*alpha)
+    cancellation estimate and raises the precision until SLATER_GOOD_DIGITS
+    correct digits survive the realized cancellation; AccuracyError once that
+    needs more than _SLATER_MAX_DPS digits.
     """
     # builtin floats so repr() round-trips through the mpf constructor
     a1, z = float(a1), float(z)
@@ -217,7 +183,7 @@ def meijer_g_2_1_1_2(a1: float, z: float) -> float:
         raise UnsupportedShapeError(f"need 1 - a1 > 0, got a1={a1!r}")
     if z < 0.0:
         raise UnsupportedShapeError(f"argument must be nonnegative, got {z!r}")
-    dps = slater_dps(alpha, z, guard=10)
+    dps = 16 + int(_slater_loss_digits(alpha, z)) + 10
     while True:
         try:
             with mp.workdps(dps):

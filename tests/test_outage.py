@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 from risnoise import outage
 from risnoise.noise import SystemParams
 from risnoise.outage import (
-    DIAGNOSTICS,
     LinkModel,
     OutageReport,
     build_link_model,
@@ -138,12 +137,17 @@ class TestXi1Closed:
         assert all(a > b > 0.0 for a, b in zip(vals, vals[1:]))
 
     def test_large_argument_resolved_by_realized_cancellation(self):
-        # z = 250.5 here: the sqrt(z*alpha) rule budgets 170.6 digits for a
-        # Slater cancellation that really takes 206.7, which once gave
-        # 0.99834 instead of 1 - 7.3e-12
-        link = link_at(-80.0, n=10)
-        assert_allclose(xi1_closed(link),
-                        xi1_oracle(link, integer_shape=True), rtol=1e-9)
+        # z = 250.5 at n=10, -80 dBW: the sqrt(z*alpha) rule budgets 170.6
+        # digits for a Slater cancellation that really takes 206.7, which
+        # once gave 0.99834 instead of 1 - 7.3e-12; at n=5, -86 dBW two
+        # passes are refused before the precision suffices, and a series
+        # that skipped the check there would return exactly 1
+        for pb_dbw, n in ((-80.0, 10), (-86.0, 5)):
+            link = link_at(pb_dbw, n=n)
+            got, want = xi1_closed(link), xi1_oracle(link, integer_shape=True)
+            assert_allclose(got, want, rtol=1e-9)
+            # the complement, 7.3e-12 and 5.6e-12, is resolved as well
+            assert_allclose(1.0 - got, 1.0 - want, rtol=1e-2)
 
     def test_monotone_in_lambda(self):
         base = SystemParams(pb=10.0 ** -6.5)
@@ -293,11 +297,13 @@ class TestAsymptotics:
         assert_allclose(xi2_asymptotic(link), want2, rtol=1e-10)
         assert_allclose(xi1_asymptotic(link), want1, rtol=1e-10)
 
-    def test_clamped_at_low_power_with_diagnostics(self):
-        before = DIAGNOSTICS["asymptotic_clamped"]
+    def test_clamped_at_low_power(self):
+        # both power laws pass 1 far below the operating range; each factor
+        # stops at exactly 1 there
         link = link_at(-100.0, n=10)
+        assert xi1_asymptotic(link) == 1.0
+        assert xi2_asymptotic(link) == 1.0
         assert outage_asymptotic(link) == 1.0
-        assert DIAGNOSTICS["asymptotic_clamped"] > before
 
     def test_noiseless_factor_zero(self):
         assert xi1_asymptotic(link_at(-60.0, ris_noise=False)) == 0.0
