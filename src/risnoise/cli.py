@@ -20,7 +20,6 @@ import sys
 from dataclasses import dataclass, fields as dc_fields
 from importlib import resources
 
-import mpmath as mp
 import numpy as np
 import yaml
 
@@ -324,6 +323,8 @@ def _check(name, ok, detail=""):
 
 
 def _checks_fast() -> list[tuple[str, bool, str]]:
+    import mpmath as mp
+
     out = []
 
     worst = 0.0

@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .noise import NoiseBudget, SystemParams, build_noise_budget, path_loss
 from .fading import sample_nakagami
@@ -193,12 +193,12 @@ def binomial_ci(successes: int, trials: int, level: float) -> tuple[float, float
     p = successes / trials
     tail = 0.5 * (1.0 - level)
     if min(successes, trials - successes) >= _NORMAL_CI_MIN_COUNT:
-        half = stats.norm.ppf(1.0 - tail) * math.sqrt(p * (1.0 - p) / trials)
+        half = special.ndtri(1.0 - tail) * math.sqrt(p * (1.0 - p) / trials)
         return max(p - half, 0.0), min(p + half, 1.0)
     lo = 0.0 if successes == 0 else float(
-        stats.beta.ppf(tail, successes, trials - successes + 1))
+        special.betaincinv(successes, trials - successes + 1, tail))
     hi = 1.0 if successes == trials else float(
-        stats.beta.ppf(1.0 - tail, successes + 1, trials - successes))
+        special.betaincinv(successes + 1, trials - successes, 1.0 - tail))
     return lo, hi
 
 

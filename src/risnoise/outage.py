@@ -19,15 +19,16 @@ output (outage_lb, outage_ub, outage_report, power_for_outage) goes through
 it.  Two check-only oracles are kept beside it: xi1_closed, the paper's
 closed series (one restricted Meijer-G value per term, summed in mpmath),
 and xi1_oracle, an adaptive quadrature of the defining probability.
+xi1_closed imports mpmath, xi1_oracle scipy.integrate (through
+integrate_semi_infinite) and power_for_outage scipy.optimize, each on first
+call, so evaluating a bound loads none of them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 
-import mpmath as mp
 import numpy as np
-from scipy import optimize
 from scipy.special import gammainc, gammaincc, logsumexp
 
 from .fading import CascadeApprox, cascade_approx, cdf_X, pdf_Y, y_gamma_params
@@ -153,6 +154,8 @@ def xi1_closed(link: LinkModel, ups: float | None = None) -> float:
     until the difference is resolved, returning 0.0 once the true value
     provably sits below the double-precision floor.
     """
+    import mpmath as mp
+
     if ups is None:
         ups = link.budget.ups_th
     if ups < 0.0:
@@ -384,6 +387,7 @@ def power_for_outage(params: SystemParams, target: float,
     """Transmit power (dBW) at which the outage curve crosses target."""
     if not 0.0 < target < 1.0:
         raise ValueError(f"target outage must lie in (0, 1), got {target!r}")
+    from scipy import optimize
 
     def gap(p_dbw: float) -> float:
         link = build_link_model(replace(params, pb=10.0 ** (p_dbw / 10.0)))

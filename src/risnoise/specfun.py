@@ -20,14 +20,21 @@ evaluators are kept side by side on purpose:
 
 Both raise UnsupportedShapeError outside the parameter region they were
 built for (alpha = 1 - a1 must be positive).
+
+The arbitrary-precision kernels (mpmath) and the root finding and
+quadrature routes (scipy.optimize, scipy.integrate) serve only checks; each
+imports its library on first call, so a sweep never loads them.
 """
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import mpmath as mp
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import special
+
+if TYPE_CHECKING:
+    import mpmath as mp
 
 
 class UnsupportedShapeError(ValueError):
@@ -84,6 +91,8 @@ def kummer_1f1(a: float, b: float, z: float) -> float:
 
 def kummer_1f1_mpf(a, b, z) -> mp.mpf:
     """1F1 by the same series in mpmath at the caller's working precision."""
+    import mpmath as mp
+
     b = mp.mpf(b)
     if b <= 0 and b == mp.floor(b):
         raise UnsupportedShapeError(f"1F1 pole: b must not be a nonpositive integer, got {b!r}")
@@ -147,6 +156,8 @@ def meijer_g_2_1_1_2_mpf(a1, z) -> mp.mpf:
     AccuracyError (best_estimate = float(G)) when it leaves fewer than
     SLATER_GOOD_DIGITS correct digits at the caller's precision.
     """
+    import mpmath as mp
+
     al = 1 - mp.mpf(a1)
     if al <= 0:
         raise UnsupportedShapeError(f"need 1 - a1 > 0, got a1={a1!r}")
@@ -176,6 +187,8 @@ def meijer_g_2_1_1_2(a1: float, z: float) -> float:
     correct digits survive the realized cancellation; AccuracyError once that
     needs more than _SLATER_MAX_DPS digits.
     """
+    import mpmath as mp
+
     # builtin floats so repr() round-trips through the mpf constructor
     a1, z = float(a1), float(z)
     alpha = 1.0 - a1
@@ -200,6 +213,8 @@ def _saddle_abscissa(alpha: float, lnz: float) -> float:
     The log-modulus is convex there and runs to +inf at both poles, so its
     derivative has exactly one root.
     """
+    from scipy import optimize
+
     def slope(sig):
         return (special.digamma(alpha + sig) - special.digamma(-sig)
                 - special.digamma(0.5 - sig) + lnz)
@@ -248,6 +263,8 @@ def meijer_g_2_1_1_2_contour(a1: float, z: float, dps: int | None = None) -> flo
         raise UnsupportedShapeError(f"argument must be nonnegative, got {z!r}")
     if z == 0.0:
         # only the Gamma(al) residue at s = 0 survives
+        import mpmath as mp
+
         with mp.workdps(max(dps or 20, 20)):
             return float(mp.sqrt(mp.pi) * mp.gamma(alpha))
     digits = _DOUBLE_DIGITS if dps is None else min(max(int(dps), 6), _DOUBLE_DIGITS)
@@ -285,6 +302,7 @@ def integrate_semi_infinite(f, scale: float = 1.0, rtol: float = 1e-10) -> float
     """
     if scale <= 0.0:
         raise ValueError(f"scale must be positive, got {scale!r}")
+    from scipy import integrate
 
     def mapped(t):
         w = 1.0 - t

@@ -144,6 +144,31 @@ class TestBinomialCi:
             hits += lo <= p <= hi
         assert hits / runs > 0.9
 
+    def test_bitwise_equal_to_scipy_stats(self):
+        # binomial_ci uses the scipy.special kernels directly so that a sweep
+        # does not import scipy.stats; the distribution-object form stays the
+        # reference, on both sides of the normal/exact switch and at both ends
+        from scipy import stats
+
+        def reference(successes, trials, level):
+            p = successes / trials
+            tail = 0.5 * (1.0 - level)
+            if min(successes, trials - successes) >= mcsim._NORMAL_CI_MIN_COUNT:
+                half = stats.norm.ppf(1.0 - tail) * math.sqrt(p * (1.0 - p) / trials)
+                return max(p - half, 0.0), min(p + half, 1.0)
+            lo = 0.0 if successes == 0 else float(
+                stats.beta.ppf(tail, successes, trials - successes + 1))
+            hi = 1.0 if successes == trials else float(
+                stats.beta.ppf(1.0 - tail, successes + 1, trials - successes))
+            return lo, hi
+
+        for level in (0.9, 0.95, 0.99):
+            for trials in (1_000, 250_000, 10_000_000):
+                for k in [*range(41), *range(trials - 40, trials + 1)]:
+                    got = [float(v).hex() for v in binomial_ci(k, trials, level)]
+                    want = [float(v).hex() for v in reference(k, trials, level)]
+                    assert got == want, (level, trials, k)
+
 
 class TestEstimateOutage:
     CFG = McConfig(trials=100_000, seed=42)
