@@ -126,4 +126,8 @@ def pdf_Y(y, n: int, m_nd: float, omega_nd: float):
 def sample_nakagami(rng: np.random.Generator, m: float, omega: float, size=None):
     """Draw Nakagami-m amplitudes: |g| = sqrt(W), W ~ Gamma(m, omega/m)."""
     _check_hop("hop", m, omega)
-    return np.sqrt(rng.gamma(shape=m, scale=omega / m, size=size))
+    w = rng.gamma(shape=m, scale=omega / m, size=size)
+    if np.ndim(w) == 0:
+        return np.sqrt(w)
+    # in place: a batch's amplitudes are the largest array a draw holds
+    return np.sqrt(w, out=w)

@@ -15,6 +15,11 @@ counter-derived stream, so the estimate for a given (seed, trials, batch)
 is bit-identical no matter how many workers run the batches.  The batch
 size is therefore part of the seeding contract, not a tuning knob.
 
+One running batch holds about batch*n*8 bytes per worker: the transmitter-hop
+amplitudes in full, while the receiver hop streams through blocks of about
+2**16 amplitudes.  The block size, unlike the batch size, is not part of the
+seeding contract: it changes no drawn bit.
+
 estimate_outages groups requests by fading key (the parameters the draws
 depend on); each (fading key, batch index) job draws once and counts every
 request of the key against its own noise budget.  These jobs are the only
@@ -23,6 +28,7 @@ parallel work in the package, run by RISNOISE_WORKERS threads (default 1).
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -38,6 +44,11 @@ WORKERS_ENV = "RISNOISE_WORKERS"
 # below this many successes (or failures) the normal interval is replaced
 # by the exact binomial one
 _NORMAL_CI_MIN_COUNT = 30
+
+# receiver-hop amplitudes drawn per block (512 KiB).  Blocking changes no
+# bit: numpy's gamma fill is element-sequential, so successive blocks
+# continue one stream, and every reduction is per row.
+_BLOCK_AMPLITUDES = 2 ** 16
 
 
 class ConfigError(ValueError):
@@ -93,25 +104,33 @@ def draw_realization(params: SystemParams, rng: np.random.Generator,
     """Sample the combined signal power X and the surface power sum Y.
 
     The same |g_nd| draws feed both X and Y; that coupling is physical and
-    the estimators depend on it.  With validate_phases=True the draw is
-    repeated through the complex-channel route (random phases, surface set
-    to phi_n = -arg(conj(g_nd) g_bn)) and checked against the amplitude
-    route to round-off.
+    the estimators depend on it.  The |g_bn| draws are held in full; the
+    |g_nd| draws follow in row blocks, reduced as they come.  With
+    validate_phases=True the draw is repeated through the complex-channel
+    route (random phases, surface set to phi_n = -arg(conj(g_nd) g_bn)) and
+    checked against the amplitude route to round-off.
     """
     params.validate()
     k = 1 if size is None else int(size)
     if k < 1:
         raise ValueError(f"size must be positive, got {size!r}")
+    n = params.n
     om_bn = path_loss(params.d_bn, params.tau_bn, params.phi_ref)
     om_nd = path_loss(params.d_nd, params.tau_nd, params.phi_ref)
-    a = sample_nakagami(rng, params.m_bn, om_bn, size=(k, params.n))
-    b = sample_nakagami(rng, params.m_nd, om_nd, size=(k, params.n))
-    d = (a * b).sum(axis=1)
-    x = d * d
-    y = (b * b).sum(axis=1)
+    a = sample_nakagami(rng, params.m_bn, om_bn, size=(k, n))
+    x = np.empty(k)
+    y = np.empty(k)
+    # the phase check draws after all of b, so it takes the batch as one block
+    rows = k if validate_phases else max(1, _BLOCK_AMPLITUDES // n)
+    for lo in range(0, k, rows):
+        block = slice(lo, min(lo + rows, k))
+        b = sample_nakagami(rng, params.m_nd, om_nd, size=(block.stop - lo, n))
+        d = (a[block] * b).sum(axis=1)
+        x[block] = d * d
+        y[block] = (b * b).sum(axis=1)
     if validate_phases:
-        gb = a * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(k, params.n)))
-        gd = b * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(k, params.n)))
+        gb = a * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(k, n)))
+        gd = b * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(k, n)))
         term = np.conj(gd) * gb
         phased = np.abs((term * np.exp(-1j * np.angle(term))).sum(axis=1))
         if not np.allclose(phased * phased, x, rtol=1e-10, atol=0.0):
@@ -202,6 +221,21 @@ def binomial_ci(successes: int, trials: int, level: float) -> tuple[float, float
     return lo, hi
 
 
+def _worker_count(workers: int | None) -> int:
+    # the argument, else RISNOISE_WORKERS (unset or empty: 1); at least 1
+    if workers is None:
+        name, value, parse = WORKERS_ENV, os.environ.get(WORKERS_ENV) or "1", int
+    else:
+        name, value, parse = "workers", workers, operator.index
+    try:
+        count = 0 if isinstance(value, bool) else parse(value)
+    except (TypeError, ValueError):
+        count = 0
+    if count < 1:
+        raise ConfigError(f"{name}: positive integer required, got {value!r}")
+    return count
+
+
 def estimate_outages(requests, config: McConfig = McConfig(),
                      workers: int | None = None) -> list[McEstimate]:
     """One estimate per (params, which) request, in request order.
@@ -210,6 +244,7 @@ def estimate_outages(requests, config: McConfig = McConfig(),
     alone; requests with the same fading key share each batch's draw.
     """
     config.validate()
+    workers = _worker_count(workers)
     groups: dict[tuple, tuple] = {}
     for i, (params, which) in enumerate(requests):
         if which not in _SELECTORS:
@@ -220,9 +255,7 @@ def estimate_outages(requests, config: McConfig = McConfig(),
     jobs = [(params, counted, config.seed, index, size)
             for params, counted in groups.values()
             for index, size in enumerate(_batch_sizes(config.trials, config.batch))]
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
-    if workers <= 1 or len(jobs) <= 1:
+    if workers == 1 or len(jobs) <= 1:
         per_job = [_count_batch(*job) for job in jobs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -368,6 +368,16 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "temp" in err
 
+    def test_sweep_bad_worker_variable_exits_2(self, tmp_path, capsys,
+                                               monkeypatch):
+        monkeypatch.setenv("RISNOISE_WORKERS", "abc")
+        config = write_config(tmp_path, SMALL_SWEEP)
+        rc = main(["sweep", "--config", config, "--out",
+                   str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "RISNOISE_WORKERS" in err
+
     def test_sweep_writes_gnuplot_companion(self, tmp_path, capsys):
         config = write_config(tmp_path, SMALL_SWEEP)
         out = str(tmp_path / "out.csv")

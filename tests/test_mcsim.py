@@ -1,4 +1,7 @@
+import hashlib
+import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from risnoise import mcsim
-from risnoise.fading import cascade_moments
+from risnoise.fading import cascade_moments, sample_nakagami
 from risnoise.mcsim import (
     ConfigError,
     McConfig,
@@ -19,7 +22,7 @@ from risnoise.mcsim import (
     sinr_bounds,
     sinr_exact,
 )
-from risnoise.noise import SystemParams, build_noise_budget
+from risnoise.noise import SystemParams, build_noise_budget, path_loss
 from risnoise.outage import build_link_model, xi2
 
 
@@ -70,6 +73,58 @@ class TestDrawRealization:
             draw_realization(SystemParams(n=0), rng_for())
         with pytest.raises(ValueError):
             draw_realization(SystemParams(), rng_for(), size=0)
+
+
+def unblocked_draw(params, rng, size):
+    # both hops drawn in full, in stream order, then reduced per row
+    om_bn = path_loss(params.d_bn, params.tau_bn, params.phi_ref)
+    om_nd = path_loss(params.d_nd, params.tau_nd, params.phi_ref)
+    a = sample_nakagami(rng, params.m_bn, om_bn, size=(size, params.n))
+    b = sample_nakagami(rng, params.m_nd, om_nd, size=(size, params.n))
+    d = (a * b).sum(axis=1)
+    return d * d, (b * b).sum(axis=1)
+
+
+class TestBlockedDraw:
+    SIZE = 2_000
+
+    @pytest.mark.parametrize("m_bn, m_nd",
+                             list(itertools.product((0.5, 0.7, 2.0), repeat=2)))
+    def test_block_size_changes_no_bit(self, monkeypatch, m_bn, m_nd):
+        params = SystemParams(n=10, m_bn=m_bn, m_nd=m_nd)
+        want = [v.view(np.uint64) for v in
+                unblocked_draw(params, mcsim._batch_rng(5, 3), self.SIZE)]
+        # one row, a prime row count that does not divide the batch, and
+        # one block for the whole batch
+        for rows in (1, 7, self.SIZE):
+            monkeypatch.setattr(mcsim, "_BLOCK_AMPLITUDES", rows * params.n)
+            for phases in (False, True):
+                got = draw_realization(params, mcsim._batch_rng(5, 3),
+                                       size=self.SIZE, validate_phases=phases)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g.view(np.uint64), w), (rows, phases)
+
+    def test_stream_order_is_pinned(self):
+        # the Philox (seed, batch index) contract: these bytes may change
+        # only with a documented seed-contract change
+        x, y = draw_realization(SystemParams(n=10), mcsim._batch_rng(1, 0),
+                                size=20_000)
+        assert hashlib.sha256(x.tobytes() + y.tobytes()).hexdigest() == (
+            "72f3d098f8c0200af4b82e67c6374985350c188dd677a799b203c754677c309d")
+
+    def test_one_batch_holds_about_one_hop(self):
+        # the transmitter hop is the only batch x n array held in full
+        params = SystemParams(n=64)
+        cfg = McConfig(trials=100_000, batch=100_000)
+        # a first call pays one-off allocations that are not the batch's
+        estimate_outage(params, McConfig(trials=1_000, batch=1_000), which="ub")
+        tracemalloc.start()
+        try:
+            estimate_outage(params, cfg, which="ub")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * cfg.batch * params.n * 8
 
 
 class TestSinr:
@@ -190,6 +245,23 @@ class TestEstimateOutage:
         monkeypatch.setenv("RISNOISE_WORKERS", "3")
         from_env = estimate_outage(params, cfg)
         assert from_env == serial
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_worker_variable_is_named(self, monkeypatch, value):
+        monkeypatch.setenv("RISNOISE_WORKERS", value)
+        with pytest.raises(ConfigError, match="RISNOISE_WORKERS"):
+            estimate_outage(SystemParams(), McConfig(trials=1_000))
+
+    @pytest.mark.parametrize("value", [0, -2, 1.5, "2", True])
+    def test_bad_worker_argument_is_named(self, value):
+        with pytest.raises(ConfigError, match="workers"):
+            estimate_outage(SystemParams(), McConfig(trials=1_000), workers=value)
+
+    def test_empty_worker_variable_means_one(self, monkeypatch):
+        params = SystemParams(n=5, pb=10.0 ** -6.8)
+        cfg = McConfig(trials=20_000, seed=7, batch=5_000)
+        monkeypatch.setenv("RISNOISE_WORKERS", "")
+        assert estimate_outage(params, cfg) == estimate_outage(params, cfg, workers=1)
 
     def test_partial_tail_batch(self):
         params = SystemParams(n=5, pb=10.0 ** -6.8)
