@@ -155,14 +155,18 @@ def load_grid(path_or_name: str, *, seed: int | None = None,
 
     def number(key, default):
         v = raw.get(key, default)
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            problems.append(f"{key}: number required, got {v!r}")
+        # abs(v) <= the largest double refuses NaN, inf and ints no double holds
+        if not isinstance(v, (int, float)) or isinstance(v, bool) \
+                or not abs(v) <= sys.float_info.max:
+            problems.append(f"{key}: finite number required, got {v!r}")
             return default
         return v
 
+    refused = len(problems)
     start = number("start", -80.0)
     stop = number("stop", -50.0)
-    if start >= stop:
+    # a refused bound is replaced by its default, which says nothing
+    if len(problems) == refused and start >= stop:
         problems.append(f"start must be below stop, got {start!r} >= {stop!r}")
     points = raw.get("points", 31)
     if not isinstance(points, int) or isinstance(points, bool) or points < 2:
@@ -373,13 +377,6 @@ def _checks_fast() -> list[tuple[str, bool, str]]:
             ref = float(mp.meijerg([[a1], []], [[0, 0.5], []], z))
         worst = max(worst, abs(got - ref) / abs(ref))
     out.append(_check("meijer-dual-route", worst < 1e-6, f"max rel err {worst:.2e}"))
-
-    worst = 0.0
-    for z in (0.1, 1.0, 9.0):
-        with mp.workdps(30):
-            want = float(mp.meijerg([[], []], [[0, 0.5], []], z))
-        worst = max(worst, abs(specfun.meijer_g_2_0_0_2(z) - want) / want)
-    out.append(_check("meijer-exp", worst < 1e-12, f"max rel err {worst:.2e}"))
 
     worst = 0.0
     worst_prod = 0.0

@@ -14,17 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-
-def _check_hop(name: str, m: float, omega: float) -> None:
-    if m < 0.5:
-        raise ValueError(f"{name}: Nakagami shape must be >= 0.5, got {m!r}")
-    if omega <= 0.0:
-        raise ValueError(f"{name}: mean channel power must be positive, got {omega!r}")
-
-
-def _check_n(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"element count must be a positive integer, got {n!r}")
+from .noise import check
 
 
 def amplitude_mean_factor(m: float) -> float:
@@ -42,9 +32,7 @@ def cascade_moments(n: int, m_bn: float, m_nd: float,
       Var[|g_bn||g_nd|] = omega_bn*omega_nd * (1 - g^2/(m_bn*m_nd)),
     with g = Gamma(m_bn+1/2)Gamma(m_nd+1/2)/(Gamma(m_bn)Gamma(m_nd)).
     """
-    _check_n(n)
-    _check_hop("bn hop", m_bn, omega_bn)
-    _check_hop("nd hop", m_nd, omega_nd)
+    check(n=n, m_bn=m_bn, m_nd=m_nd, omega_bn=omega_bn, omega_nd=omega_nd)
     g = amplitude_mean_factor(m_bn) * amplitude_mean_factor(m_nd)
     mu = g * math.sqrt(omega_bn * omega_nd / (m_bn * m_nd)) * n
     sigma2 = n * omega_bn * omega_nd * (1.0 - g * g / (m_bn * m_nd))
@@ -69,8 +57,7 @@ class CascadeApprox:
 
 def gamma_approx(mu: float, sigma2: float) -> CascadeApprox:
     """Match a Gamma(delta, zeta) shape/scale pair to a given mean and variance."""
-    if mu <= 0.0 or sigma2 <= 0.0:
-        raise ValueError(f"moments must be positive, got mu={mu!r} sigma2={sigma2!r}")
+    check(mu=mu, sigma2=sigma2)
     delta = mu * mu / sigma2
     zeta = sigma2 / mu
     delta_int = max(1, math.floor(delta + 0.5))
@@ -99,8 +86,7 @@ def cdf_X(x, approx: CascadeApprox):
 
 def y_gamma_params(n: int, m_nd: float, omega_nd: float) -> tuple[float, float]:
     """Exact Gamma(shape, rate) parameters of Y = sum_n |g_nd|^2."""
-    _check_n(n)
-    _check_hop("nd hop", m_nd, omega_nd)
+    check(n=n, m_nd=m_nd, omega_nd=omega_nd)
     return n * m_nd, m_nd / omega_nd
 
 
@@ -125,7 +111,7 @@ def pdf_Y(y, n: int, m_nd: float, omega_nd: float):
 
 def sample_nakagami(rng: np.random.Generator, m: float, omega: float, size=None):
     """Draw Nakagami-m amplitudes: |g| = sqrt(W), W ~ Gamma(m, omega/m)."""
-    _check_hop("hop", m, omega)
+    check(m=m, omega=omega)
     w = rng.gamma(shape=m, scale=omega / m, size=size)
     if np.ndim(w) == 0:
         return np.sqrt(w)

@@ -145,7 +145,8 @@ def sinr_exact(x, y, budget: NoiseBudget):
     """Instantaneous SINR psi*X / (lam*Y + 1) (noise entered as averages)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(x < 0.0) or np.any(y < 0.0):
+    # NaN fails >= where it would pass <
+    if not (np.all(x >= 0.0) and np.all(y >= 0.0)):
         raise ValueError("powers must be nonnegative")
     out = budget.psi * x / (budget.lam * y + 1.0)
     return float(out) if out.ndim == 0 else out
@@ -155,7 +156,8 @@ def sinr_bounds(x, y, budget: NoiseBudget):
     """Per-draw SINR bracket (lb, ub): ub = min(psi*X/(lam*Y), psi*X), lb = ub/2."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(x < 0.0) or np.any(y < 0.0):
+    # NaN fails >= where it would pass <
+    if not (np.all(x >= 0.0) and np.all(y >= 0.0)):
         raise ValueError("powers must be nonnegative")
     snr = budget.psi * x
     lam_y = budget.lam * y

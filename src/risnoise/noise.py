@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import dataclass
 
 # Exact SI Boltzmann constant (2019 redefinition), J/K.
 BOLTZMANN = 1.380649e-23
@@ -19,10 +20,68 @@ B_DEFAULT = 20e6           # Hz
 NF_DEFAULT = 10.0 ** 0.3   # 3 dB receiver noise figure, linear
 
 
+_REAL = (float, int)
+_INT = (int,)
+_MAX = sys.float_info.max
+# the doubles next to 0 and 1: as closed bounds they state v > 0 and v < 1
+_ABOVE_0 = math.nextafter(0.0, 1.0)
+_BELOW_1 = math.nextafter(1.0, 0.0)
+_POSITIVE = (_REAL, _ABOVE_0, _MAX, "must be positive")
+_NONNEGATIVE = (_REAL, 0.0, _MAX, "must be nonnegative")
+_ANY = (_REAL, -_MAX, _MAX, "")
+_SHAPE = (_REAL, 0.5, _MAX, "Nakagami shape must be >= 0.5")
+_PROBABILITY = (_REAL, 0.0, 1.0, "must lie in [0, 1]")
+
+# The rule for every numeric input, keyed by the name it goes by: the
+# SystemParams fields, the names the public helpers give the same
+# quantities, the outage threshold ups and the probabilities the outage
+# module composes.  A rule is (types, lo, hi, text): the value must be a
+# finite real number (a bool is not one) in [lo, hi], and an int where types
+# is _INT.  NaN slips past a check written as `if v < lo: raise`, and inf
+# breaks the noise budget.
+RULES = {
+    "n": (_INT, 1, _MAX, "positive integer required"),
+    "alpha": (_REAL, _ABOVE_0, 1.0, "must lie in (0, 1]"),
+    "m_bn": _SHAPE, "m_nd": _SHAPE, "m": _SHAPE,
+    "d_bn": _POSITIVE, "d_nd": _POSITIVE, "distance": _POSITIVE,
+    "tau_bn": _ANY, "tau_nd": _ANY, "exponent": _ANY,
+    "phi_ref": _POSITIVE, "bw": _POSITIVE, "temp": _POSITIVE,
+    "nf": (_REAL, 1.0, _MAX, "linear noise figure must be >= 1"),
+    "pb": _POSITIVE, "p": _POSITIVE, "rate": _NONNEGATIVE,
+    "sigma_d2": _POSITIVE, "sigma_r2": _NONNEGATIVE,
+    "omega": _POSITIVE, "omega_bn": _POSITIVE, "omega_nd": _POSITIVE,
+    "mu": _POSITIVE, "sigma2": _POSITIVE,
+    "ups": _NONNEGATIVE,
+    "xi1": _PROBABILITY, "xi2": _PROBABILITY, "outage": _PROBABILITY,
+    "target": (_REAL, _ABOVE_0, _BELOW_1, "must lie in (0, 1)"),
+}
+
+
+def check(**values) -> None:
+    """Refuse every value that breaks the RULES entry of its name.
+
+    One ValueError lists each bad argument as "<name>: <rule>, got <value>".
+    """
+    problems = []
+    for name, v in values.items():
+        types, lo, hi, rule = RULES[name]
+        # a plain float or int in range: the bounds are finite, so NaN and
+        # inf fail them too
+        if type(v) in types and lo <= v <= hi:
+            continue
+        # a bool, a numpy scalar, a non-number or a value out of range
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) \
+                or not -math.inf < v < math.inf:
+            problems.append(f"{name}: finite number required, got {v!r}")
+        elif not lo <= v <= hi or types is _INT:
+            problems.append(f"{name}: {rule}, got {v!r}")
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
 def db_from_watts(p: float) -> float:
     """10*log10(p), p in watts -> dBW."""
-    if p <= 0.0:
-        raise ValueError(f"power must be positive to express in dB, got {p!r}")
+    check(p=p)
     return 10.0 * math.log10(p)
 
 
@@ -37,12 +96,7 @@ def receiver_noise_power(temp: float = T_DEFAULT, bw: float = B_DEFAULT,
 
     nf is the linear noise figure (>= 1); nf = 1 gives the bare k*T*B floor.
     """
-    if temp <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temp!r}")
-    if bw <= 0.0:
-        raise ValueError(f"bandwidth must be positive, got {bw!r}")
-    if nf < 1.0:
-        raise ValueError(f"linear noise figure must be >= 1, got {nf!r}")
+    check(temp=temp, bw=bw, nf=nf)
     return (BOLTZMANN * temp * bw) * nf
 
 
@@ -53,14 +107,7 @@ def ris_noise_power(n: int, alpha: float, temp: float = T_DEFAULT,
     Written as (n*alpha) * (k*T*B) so that linearity in n and alpha holds
     bit-exactly: ris_noise_power(n, a) == n*a*ris_noise_power(1, 1.0).
     """
-    if not isinstance(n, (int,)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"element count must be a positive integer, got {n!r}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"reflection factor must lie in (0, 1], got {alpha!r}")
-    if temp <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temp!r}")
-    if bw <= 0.0:
-        raise ValueError(f"bandwidth must be positive, got {bw!r}")
+    check(n=n, alpha=alpha, temp=temp, bw=bw)
     return (n * alpha) * (BOLTZMANN * temp * bw)
 
 
@@ -70,19 +117,13 @@ def path_loss(distance: float, exponent: float, phi_ref: float = 1.0) -> float:
     phi_ref is the reference power at 1 m; the default 1.0 matches the
     convention used by the bundled reference results.
     """
-    if distance <= 0.0:
-        raise ValueError(f"distance must be positive, got {distance!r}")
-    if phi_ref <= 0.0:
-        raise ValueError(f"reference power must be positive, got {phi_ref!r}")
+    check(distance=distance, exponent=exponent, phi_ref=phi_ref)
     return phi_ref * distance ** (-exponent)
 
 
 def sinr_threshold(rate: float, bw: float) -> float:
     """Outage SINR threshold 2^(rate/bw) - 1 for target rate in bit/s."""
-    if rate < 0.0:
-        raise ValueError(f"rate must be nonnegative, got {rate!r}")
-    if bw <= 0.0:
-        raise ValueError(f"bandwidth must be positive, got {bw!r}")
+    check(rate=rate, bw=bw)
     x = rate / bw
     if x >= 0.5:
         return 2.0 ** x - 1.0
@@ -115,40 +156,15 @@ class SystemParams:
     sigma_r2: float | None = None
 
     def validate(self) -> None:
-        # NaN passes every range check below and inf breaks the noise budget
-        problems = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name not in ("n", "ris_noise") and v is not None and (
-                    isinstance(v, bool) or not isinstance(v, numbers.Real)
-                    or not math.isfinite(v)):
-                problems.append(f"{f.name}: finite number required, got {v!r}")
-        if problems:
-            raise ValueError("invalid system parameters: " + "; ".join(problems))
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            problems.append(f"n: positive integer required, got {self.n!r}")
-        if not 0.0 < self.alpha <= 1.0:
-            problems.append(f"alpha: must lie in (0, 1], got {self.alpha!r}")
-        for name in ("m_bn", "m_nd"):
-            v = getattr(self, name)
-            if v < 0.5:
-                problems.append(f"{name}: Nakagami shape must be >= 0.5, got {v!r}")
-        for name in ("d_bn", "d_nd", "phi_ref", "bw", "temp", "pb"):
-            v = getattr(self, name)
-            if v <= 0.0:
-                problems.append(f"{name}: must be positive, got {v!r}")
-        if self.nf < 1.0:
-            problems.append(f"nf: linear noise figure must be >= 1, got {self.nf!r}")
-        if self.rate < 0.0:
-            problems.append(f"rate: must be nonnegative, got {self.rate!r}")
-        for name in ("sigma_d2", "sigma_r2"):
-            v = getattr(self, name)
-            if v is not None and v < 0.0:
-                problems.append(f"{name}: override must be nonnegative, got {v!r}")
-        if self.sigma_d2 is not None and self.sigma_d2 == 0.0:
-            problems.append("sigma_d2: receiver noise override must be positive")
-        if problems:
-            raise ValueError("invalid system parameters: " + "; ".join(problems))
+        """Check every numeric field against RULES, naming each bad one."""
+        # the instance dict holds exactly the fields and reads faster than
+        # dataclasses.fields; ris_noise is a switch, not a number, and a
+        # None override is derived
+        try:
+            check(**{k: v for k, v in vars(self).items()
+                     if k != "ris_noise" and v is not None})
+        except ValueError as exc:
+            raise ValueError(f"invalid system parameters: {exc}") from None
 
 
 @dataclass(frozen=True)

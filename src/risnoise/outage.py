@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import gammainc, gammaincc, logsumexp
 
 from .fading import CascadeApprox, cascade_approx, cdf_X, pdf_Y, y_gamma_params
-from .noise import NoiseBudget, SystemParams, build_noise_budget, path_loss
+from .noise import NoiseBudget, SystemParams, build_noise_budget, check, path_loss
 from .specfun import (
     AccuracyError,
     _slater_loss_digits,
@@ -69,12 +69,18 @@ def build_link_model(params: SystemParams) -> LinkModel:
                      y_shape=y_shape, y_rate=y_rate)
 
 
+def _threshold(link: LinkModel, ups: float | None) -> float:
+    """The SINR threshold: the link's own (derived from a checked rate and
+    bandwidth) unless one is given, which is checked."""
+    if ups is None:
+        return link.budget.ups_th
+    check(ups=ups)
+    return ups
+
+
 def xi2(link: LinkModel, ups: float | None = None) -> float:
     """Noise-limited outage factor P(psi*X < ups)."""
-    if ups is None:
-        ups = link.budget.ups_th
-    if ups < 0.0:
-        raise ValueError(f"threshold must be nonnegative, got {ups!r}")
+    ups = _threshold(link, ups)
     if ups == 0.0:
         return 0.0
     arg = math.sqrt(ups / link.budget.psi) / link.approx.zeta
@@ -109,10 +115,7 @@ def xi1(link: LinkModel, ups: float | None = None) -> float:
     Relative accuracy is about 1e-12 down to values near 1e-300, where the
     products w*P turn subnormal.
     """
-    if ups is None:
-        ups = link.budget.ups_th
-    if ups < 0.0:
-        raise ValueError(f"threshold must be nonnegative, got {ups!r}")
+    ups = _threshold(link, ups)
     lam, psi = link.budget.lam, link.budget.psi
     if lam == 0.0 or ups == 0.0:
         return 0.0
@@ -156,10 +159,7 @@ def xi1_closed(link: LinkModel, ups: float | None = None) -> float:
     """
     import mpmath as mp
 
-    if ups is None:
-        ups = link.budget.ups_th
-    if ups < 0.0:
-        raise ValueError(f"threshold must be nonnegative, got {ups!r}")
+    ups = _threshold(link, ups)
     lam, psi = link.budget.lam, link.budget.psi
     if lam == 0.0 or ups == 0.0:
         return 0.0
@@ -229,10 +229,7 @@ def xi1_oracle(link: LinkModel, ups: float | None = None, *,
     same way the series does, which makes the two routes agree to quadrature
     tolerance.  Kept independent of the series on purpose.
     """
-    if ups is None:
-        ups = link.budget.ups_th
-    if ups < 0.0:
-        raise ValueError(f"threshold must be nonnegative, got {ups!r}")
+    ups = _threshold(link, ups)
     lam, psi = link.budget.lam, link.budget.psi
     if lam == 0.0 or ups == 0.0:
         return 0.0
@@ -260,16 +257,13 @@ def compose_outage(xi1: float, xi2: float) -> float:
     noise-limited result, not just approximates it; it returns exactly 1
     when either factor is 1 and, by monotone rounding, never exceeds 1.
     """
-    for name, v in (("xi1", xi1), ("xi2", xi2)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
+    check(xi1=xi1, xi2=xi2)
     return xi1 + xi2 * (1.0 - xi1)
 
 
 def outage_lb(link: LinkModel) -> float:
     """Lower bound on outage: the two-factor form at the plain threshold."""
-    ups = link.budget.ups_th
-    return compose_outage(xi1(link, ups), xi2(link, ups))
+    return compose_outage(xi1(link), xi2(link))
 
 
 def outage_ub(link: LinkModel) -> float:
@@ -280,8 +274,7 @@ def outage_ub(link: LinkModel) -> float:
 
 def xi1_asymptotic(link: LinkModel, ups: float | None = None) -> float:
     """High-power limit of xi1 (real shape), evaluated in log space."""
-    if ups is None:
-        ups = link.budget.ups_th
+    ups = _threshold(link, ups)
     lam, psi = link.budget.lam, link.budget.psi
     if lam == 0.0 or ups == 0.0:
         return 0.0
@@ -296,8 +289,7 @@ def xi1_asymptotic(link: LinkModel, ups: float | None = None) -> float:
 
 def xi2_asymptotic(link: LinkModel, ups: float | None = None) -> float:
     """High-power limit of xi2 (real shape), evaluated in log space."""
-    if ups is None:
-        ups = link.budget.ups_th
+    ups = _threshold(link, ups)
     if ups == 0.0:
         return 0.0
     d = link.approx.delta
@@ -308,8 +300,7 @@ def xi2_asymptotic(link: LinkModel, ups: float | None = None) -> float:
 
 def outage_asymptotic(link: LinkModel) -> float:
     """High-power outage slope line: composition of the asymptotic factors."""
-    ups = link.budget.ups_th
-    return compose_outage(xi1_asymptotic(link, ups), xi2_asymptotic(link, ups))
+    return compose_outage(xi1_asymptotic(link), xi2_asymptotic(link))
 
 
 def diversity_order(approx: CascadeApprox) -> float:
@@ -319,10 +310,7 @@ def diversity_order(approx: CascadeApprox) -> float:
 
 def throughput(outage: float, rate: float) -> float:
     """Effective rate (1 - outage) * rate in bit/s."""
-    if not 0.0 <= outage <= 1.0:
-        raise ValueError(f"outage must lie in [0, 1], got {outage!r}")
-    if rate < 0.0:
-        raise ValueError(f"rate must be nonnegative, got {rate!r}")
+    check(outage=outage, rate=rate)
     return (1.0 - outage) * rate
 
 
@@ -353,8 +341,7 @@ def reliability_flag(lam: float) -> int:
 
 
 def outage_report(link: LinkModel) -> OutageReport:
-    ups = link.budget.ups_th
-    x1, x2 = xi1(link, ups), xi2(link, ups)
+    x1, x2 = xi1(link), xi2(link)
     po_lb = compose_outage(x1, x2)
     lam = link.budget.lam
     return OutageReport(
@@ -385,8 +372,7 @@ def power_for_outage(params: SystemParams, target: float,
                      bracket_dbw: tuple[float, float] = (-110.0, -20.0),
                      mode: str = "analytic_lb") -> float:
     """Transmit power (dBW) at which the outage curve crosses target."""
-    if not 0.0 < target < 1.0:
-        raise ValueError(f"target outage must lie in (0, 1), got {target!r}")
+    check(target=target)
     from scipy import optimize
 
     def gap(p_dbw: float) -> float:

@@ -121,17 +121,6 @@ def meijer_g_1_1_1_2(delta: float, x: float) -> float:
     return math.exp(math.lgamma(delta)) * special.gammainc(delta, x)
 
 
-def meijer_g_2_0_0_2(z: float) -> float:
-    """G^{2,0}_{0,2}(z | -; 0, 1/2) = sqrt(pi) * exp(-2 sqrt(z)).
-
-    Only appears while reshaping the outage kernel; kept so the whole
-    restricted Meijer family used by the model is covered by identity tests.
-    """
-    if z < 0.0:
-        raise UnsupportedShapeError(f"argument must be nonnegative, got {z!r}")
-    return math.sqrt(math.pi) * math.exp(-2.0 * math.sqrt(z))
-
-
 # correct digits a Slater result must keep after its cancellation
 SLATER_GOOD_DIGITS = 17
 

@@ -1,6 +1,7 @@
 """Command-line layer: config parsing, CSV contract, self-checks, presets."""
 import csv
 import math
+import warnings
 
 import pytest
 
@@ -112,6 +113,18 @@ class TestLoadGrid:
         path = write_config(tmp_path, "start: -50.0\nstop: -80.0\n")
         with pytest.raises(ConfigError, match="start must be below stop"):
             load_grid(path)
+
+    @pytest.mark.parametrize("axis", ["transmit_power_dBW", "element_count"])
+    @pytest.mark.parametrize("key,value", [
+        ("start", ".nan"), ("stop", ".inf"), ("start", "-.inf"),
+        ("stop", "1" + "0" * 400)])   # an int no double holds
+    def test_start_and_stop_must_be_finite(self, tmp_path, axis, key, value):
+        path = write_config(tmp_path, f"axis: {axis}\n{key}: {value}\n")
+        with pytest.raises(ConfigError) as err:
+            load_grid(path)
+        assert f"{key}: finite number required" in str(err.value)
+        assert "pb:" not in str(err.value)
+        assert "below" not in str(err.value)
 
     def test_modes_override_is_canonically_ordered(self, tmp_path):
         path = write_config(tmp_path, SMALL_SWEEP)
@@ -367,6 +380,19 @@ class TestMain:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "temp" in err
+
+    def test_sweep_non_finite_stop_exits_2_without_warning(self, tmp_path,
+                                                           capsys):
+        config = write_config(tmp_path, "axis: element_count\nstart: 5\n"
+                                        "stop: .inf\npoints: 4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["sweep", "--config", config, "--out",
+                       str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "stop" in err
+        assert "Warning" not in err
 
     def test_sweep_bad_worker_variable_exits_2(self, tmp_path, capsys,
                                                monkeypatch):

@@ -167,6 +167,11 @@ class TestSinr:
             sinr_exact(-1.0, 0.0, budget)
         with pytest.raises(ValueError):
             sinr_bounds(1.0, -2.0, budget)
+        for fn in (sinr_exact, sinr_bounds):
+            with pytest.raises(ValueError):
+                fn(np.array([1.0, math.nan]), np.ones(2), budget)
+            with pytest.raises(ValueError):
+                fn(1.0, math.nan, budget)
 
 
 class TestBinomialCi:

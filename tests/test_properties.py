@@ -1,13 +1,38 @@
 """Property tests: analytic outputs over random valid scenarios, and the
-parameter boundary over non-finite values."""
+parameter boundary over non-finite and out-of-range values."""
+import inspect
 import math
+import re
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from risnoise.noise import SystemParams
-from risnoise.outage import build_link_model, outage_report
+from risnoise.fading import (
+    cascade_moments,
+    gamma_approx,
+    sample_nakagami,
+    y_gamma_params,
+)
+from risnoise.noise import (
+    SystemParams,
+    db_from_watts,
+    path_loss,
+    receiver_noise_power,
+    ris_noise_power,
+    sinr_threshold,
+)
+from risnoise.outage import (
+    build_link_model,
+    outage_report,
+    xi1,
+    xi1_asymptotic,
+    xi1_closed,
+    xi1_oracle,
+    xi2,
+    xi2_asymptotic,
+)
 
 # the ranges keep every xi1 series short (the slow regime is deep low
 # power, where the series needs hundreds of digits)
@@ -55,3 +80,65 @@ def test_non_finite_parameters_are_refused_by_name(scenario, field, value):
     params = params_at(scenario, scenario["pb_dbw"], **{field: value})
     with pytest.raises(ValueError, match=f"{field}: finite number required"):
         build_link_model(params)
+
+
+# a valid value and, where the argument has a range, one value outside it
+_SHAPE = (st.floats(0.5, 5.0), 0.4)
+_POWER = (st.floats(1e-8, 10.0), 0.0)
+ARGUMENTS = {
+    "n": (st.integers(1, 64), 0),
+    "alpha": (st.floats(0.01, 1.0), 1.5),
+    "m": _SHAPE, "m_bn": _SHAPE, "m_nd": _SHAPE,
+    "temp": (st.floats(1.0, 1000.0), 0.0),
+    "bw": (st.floats(1e3, 1e9), -1.0),
+    "nf": (st.floats(1.0, 10.0), 0.9),
+    "distance": (st.floats(0.5, 500.0), -2.0),
+    "exponent": (st.floats(1.5, 4.0), None),
+    "phi_ref": (st.floats(1e-3, 10.0), 0.0),
+    "rate": (st.floats(0.0, 1e8), -1.0),
+    "p": (st.floats(1e-20, 1e3), 0.0),
+    "omega": _POWER, "omega_bn": _POWER, "omega_nd": _POWER,
+    "mu": (st.floats(0.1, 10.0), -1.0),
+    "sigma2": (st.floats(0.1, 10.0), 0.0),
+    "ups": (st.floats(0.0, 100.0), -1.0),
+}
+
+
+def sample_amplitudes(m, omega):
+    return sample_nakagami(np.random.default_rng(0), m, omega, size=3)
+
+
+HELPERS = (receiver_noise_power, ris_noise_power, path_loss, sinr_threshold,
+           db_from_watts, cascade_moments, y_gamma_params, gamma_approx,
+           sample_amplitudes)
+HELPER_ARGUMENTS = [(fn, name) for fn in HELPERS
+                    for name in inspect.signature(fn).parameters]
+
+
+def refused_by_name(name, call):
+    out_of_range = ARGUMENTS[name][1]
+    for bad in [math.nan, math.inf, -math.inf] + (
+            [] if out_of_range is None else [out_of_range]):
+        with pytest.raises(ValueError, match=rf"\b{re.escape(name)}: "):
+            call(bad)
+
+
+@pytest.mark.parametrize("fn,name", HELPER_ARGUMENTS,
+                         ids=[f"{fn.__name__}-{name}" for fn, name in HELPER_ARGUMENTS])
+@settings(max_examples=10, database=None, derandomize=True)
+@given(data=st.data())
+def test_helpers_refuse_bad_arguments_by_name(fn, name, data):
+    args = {k: data.draw(ARGUMENTS[k][0], label=k)
+            for k in inspect.signature(fn).parameters}
+    refused_by_name(name, lambda bad: fn(**{**args, name: bad}))
+
+
+XI_FUNCTIONS = (xi1, xi2, xi1_closed, xi1_oracle, xi1_asymptotic, xi2_asymptotic)
+
+
+@pytest.mark.parametrize("fn", XI_FUNCTIONS, ids=[f.__name__ for f in XI_FUNCTIONS])
+@settings(max_examples=10, database=None, derandomize=True)
+@given(scenarios)
+def test_threshold_is_refused_by_name(fn, scenario):
+    link = build_link_model(params_at(scenario, scenario["pb_dbw"]))
+    refused_by_name("ups", lambda bad: fn(link, bad))

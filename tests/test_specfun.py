@@ -13,7 +13,6 @@ from risnoise.specfun import (
     kummer_1f1,
     kummer_1f1_mpf,
     meijer_g_1_1_1_2,
-    meijer_g_2_0_0_2,
     meijer_g_2_1_1_2,
     meijer_g_2_1_1_2_contour,
     meijer_g_2_1_1_2_mpf,
@@ -129,21 +128,6 @@ class TestMeijerG1112:
             meijer_g_1_1_1_2(0.0, 1.0)
         with pytest.raises(ValueError):
             meijer_g_1_1_1_2(2.0, -0.5)
-
-
-class TestMeijerG2002:
-    def test_closed_form_against_library(self):
-        for z in [0.0, 1e-3, 0.25, 1.0, 4.0, 30.0]:
-            with mp.workdps(30):
-                want = float(mp.meijerg([[], []], [[0, 0.5], []], z))
-            assert_allclose(meijer_g_2_0_0_2(z), want, rtol=1e-12)
-
-    def test_zero_argument(self):
-        assert_allclose(meijer_g_2_0_0_2(0.0), math.sqrt(math.pi), rtol=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(UnsupportedShapeError):
-            meijer_g_2_0_0_2(-1.0)
 
 
 def laplace_reference(a1, z):
