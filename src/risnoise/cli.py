@@ -102,6 +102,11 @@ class SweepGrid:
         return McConfig(self.trials, self.seed, self.batch, self.ci_level)
 
 
+# libyaml's parser where PyYAML was built with it; the constructor and the
+# resolver are yaml.safe_load's either way
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _preset_dir():
     return resources.files("risnoise") / "presets"
 
@@ -111,7 +116,8 @@ def list_presets() -> list[tuple[str, str]]:
     out = []
     for entry in sorted(_preset_dir().iterdir(), key=lambda e: e.name):
         if entry.name.endswith(".yaml"):
-            data = yaml.safe_load(entry.read_text(encoding="utf-8")) or {}
+            data = yaml.load(entry.read_text(encoding="utf-8"),
+                             Loader=_YAML_LOADER) or {}
             out.append((entry.name[:-5], str(data.get("description", ""))))
     return out
 
@@ -134,7 +140,7 @@ def load_grid(path_or_name: str, *, seed: int | None = None,
     path = _resolve_config(path_or_name)
     with open(path, encoding="utf-8") as fh:
         try:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
         except yaml.YAMLError as exc:
             # the YAML parser reports line/column marks for syntax errors
             raise ConfigError(f"{path}: {exc}") from None

@@ -24,6 +24,13 @@ estimate_outages groups requests by fading key (the parameters the draws
 depend on); each (fading key, batch index) job draws once and counts every
 request of the key against its own noise budget.  These jobs are the only
 parallel work in the package, run by RISNOISE_WORKERS threads (default 1).
+
+Counting walks the drawn X and Y in cache-sized blocks of trials.  Per block
+it checks X, Y >= 0 once, forms lam*Y once per distinct lam (lam does not
+depend on the transmit power, so a power axis shares it), and per request
+forms only the selected SINR and counts the draws below the threshold; the
+block counts add up to the batch count.  sinr_exact and sinr_bounds are the
+same check and the same SINR helper over whole arrays.
 """
 from __future__ import annotations
 
@@ -49,6 +56,10 @@ _NORMAL_CI_MIN_COUNT = 30
 # bit: numpy's gamma fill is element-sequential, so successive blocks
 # continue one stream, and every reduction is per row.
 _BLOCK_AMPLITUDES = 2 ** 16
+
+# drawn trials counted per block: one block's temporaries stay in cache.
+# Like the block above, it changes no count.
+_COUNT_BLOCK = 2 ** 14
 
 
 class ConfigError(ValueError):
@@ -141,14 +152,37 @@ def draw_realization(params: SystemParams, rng: np.random.Generator,
     return x, y
 
 
+def _check_powers(x, y) -> None:
+    # NaN fails >= where it would pass <
+    if not (np.all(x >= 0.0) and np.all(y >= 0.0)):
+        raise ValueError("powers must be nonnegative")
+
+
+def _noise_term(lam: float, y):
+    # lam*Y, with a signed zero made +0 so that snr/lam_y reads it as no
+    # surface noise (+inf), never as -inf
+    return lam * y + 0.0
+
+
+def _sinr(snr, lam_y, which: str):
+    """The selected per-draw SINR from snr = psi*X and lam_y = lam*Y.
+
+    ub = fmin(snr/lam_y, snr): where lam_y = 0 the ratio is inf (or 0/0 =
+    nan at X = 0), and fmin passes over it to snr.
+    """
+    if which == "exact":
+        return snr / (lam_y + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ub = np.fmin(snr / lam_y, snr)
+    return 0.5 * ub if which == "lb" else ub
+
+
 def sinr_exact(x, y, budget: NoiseBudget):
     """Instantaneous SINR psi*X / (lam*Y + 1) (noise entered as averages)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    # NaN fails >= where it would pass <
-    if not (np.all(x >= 0.0) and np.all(y >= 0.0)):
-        raise ValueError("powers must be nonnegative")
-    out = budget.psi * x / (budget.lam * y + 1.0)
+    _check_powers(x, y)
+    out = _sinr(budget.psi * x, _noise_term(budget.lam, y), "exact")
     return float(out) if out.ndim == 0 else out
 
 
@@ -156,14 +190,8 @@ def sinr_bounds(x, y, budget: NoiseBudget):
     """Per-draw SINR bracket (lb, ub): ub = min(psi*X/(lam*Y), psi*X), lb = ub/2."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    # NaN fails >= where it would pass <
-    if not (np.all(x >= 0.0) and np.all(y >= 0.0)):
-        raise ValueError("powers must be nonnegative")
-    snr = budget.psi * x
-    lam_y = budget.lam * y
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(lam_y > 0.0, snr / np.where(lam_y > 0.0, lam_y, 1.0), np.inf)
-    ub = np.minimum(ratio, snr)
+    _check_powers(x, y)
+    ub = _sinr(budget.psi * x, _noise_term(budget.lam, y), "ub")
     if ub.ndim == 0:
         return 0.5 * float(ub), float(ub)
     return 0.5 * ub, ub
@@ -192,15 +220,17 @@ def _count_batch(params: SystemParams, counted, seed: int, index: int,
                  size: int) -> list[tuple[int, int]]:
     # one draw of batch `index`; (request, outage count) per counted request
     x, y = draw_realization(params, _batch_rng(seed, index), size=size)
-    out = []
-    for i, budget, which in counted:
-        if which == "exact":
-            sinr = sinr_exact(x, y, budget)
-        else:
-            lb, ub = sinr_bounds(x, y, budget)
-            sinr = lb if which == "lb" else ub
-        out.append((i, int(np.count_nonzero(sinr < budget.ups_th))))
-    return out
+    # -0.0 and 0.0 share a key: _noise_term gives both the same lam*Y
+    lams = {budget.lam for _, budget, _ in counted}
+    counts = [0] * len(counted)
+    for lo in range(0, size, _COUNT_BLOCK):
+        xb, yb = x[lo:lo + _COUNT_BLOCK], y[lo:lo + _COUNT_BLOCK]
+        _check_powers(xb, yb)
+        lam_y = {lam: _noise_term(lam, yb) for lam in lams}
+        for j, (_, budget, which) in enumerate(counted):
+            sinr = _sinr(budget.psi * xb, lam_y[budget.lam], which)
+            counts[j] += int(np.count_nonzero(sinr < budget.ups_th))
+    return [(i, c) for (i, _, _), c in zip(counted, counts)]
 
 
 def binomial_ci(successes: int, trials: int, level: float) -> tuple[float, float]:

@@ -125,6 +125,10 @@ def sinr_threshold(rate: float, bw: float) -> float:
     """Outage SINR threshold 2^(rate/bw) - 1 for target rate in bit/s."""
     check(rate=rate, bw=bw)
     x = rate / bw
+    if x >= 1024.0:
+        # 2**1024 is past the largest double
+        raise ValueError(f"rate: rate/bw must be below 1024, got rate={rate!r} "
+                         f"over bw={bw!r}")
     if x >= 0.5:
         return 2.0 ** x - 1.0
     # expm1 keeps full precision for small rate/bandwidth ratios

@@ -4,9 +4,10 @@ import math
 import warnings
 
 import pytest
+import yaml
 
 import risnoise
-from risnoise import mcsim, noise, outage
+from risnoise import cli, mcsim, noise, outage
 from risnoise.cli import (
     ALL_MODES,
     CSV_HEADER,
@@ -330,6 +331,22 @@ class TestPresets:
         assert grid.points >= 2
         assert set(grid.modes) <= set(ALL_MODES)
 
+    def test_parsed_as_yaml_safe_load_parses(self):
+        # the libyaml loader shares safe_load's constructor and resolver;
+        # repr tells 1 from 1.0 and True, which == does not
+        if yaml.__with_libyaml__:
+            assert cli._YAML_LOADER is yaml.CSafeLoader
+        edge = ("a: 1e6\nb: 1.0e6\nc: .inf\nd: -.inf\ne: yes\nf: No\n"
+                "g: ~\nh: 0x10\ni: 010\nj: 1_000\nk: [on, off, null]\n"
+                "l: 2024-01-02\nm: '7'\n")
+        texts = [edge] + [(cli._preset_dir() / f"{name}.yaml").read_text(
+            encoding="utf-8") for name, _ in list_presets()]
+        for text in texts:
+            got = yaml.load(text, Loader=cli._YAML_LOADER)
+            want = yaml.safe_load(text)
+            assert repr(got) == repr(want) and got == want
+        assert yaml.load(edge, Loader=cli._YAML_LOADER)["h"] == 16
+
     def test_fig1_n5_low_outage_crossing(self, tmp_path):
         # the with-noise curve reaches outage 1e-3 near -59 dBW
         out = str(tmp_path / "fig1.csv")
@@ -393,6 +410,17 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "stop" in err
         assert "Warning" not in err
+
+    def test_sweep_rate_past_the_threshold_range_exits_2(self, tmp_path,
+                                                         capsys):
+        # 2**(rate/bw) would overflow; the boundary names the rate instead
+        config = write_config(tmp_path, SMALL_SWEEP.replace(
+            "  n: 5\n", "  n: 5\n  rate: 1.0e12\n  bw: 1.0e6\n"))
+        rc = main(["sweep", "--config", config, "--out",
+                   str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "rate" in err
 
     def test_sweep_bad_worker_variable_exits_2(self, tmp_path, capsys,
                                                monkeypatch):

@@ -174,6 +174,94 @@ class TestSinr:
                 fn(1.0, math.nan, budget)
 
 
+def where_bracket(x, y, budget):
+    # the bracket as an earlier release wrote it: a where mask for lam*Y = 0
+    snr = budget.psi * np.asarray(x, dtype=float)
+    lam_y = budget.lam * np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(lam_y > 0.0, snr / np.where(lam_y > 0.0, lam_y, 1.0),
+                         np.inf)
+    return np.minimum(ratio, snr)
+
+
+def kernel_counts(monkeypatch, x, y, requests):
+    # _count_batch on given powers, one count per (budget, which)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    monkeypatch.setattr(mcsim, "draw_realization", lambda *a, **k: (x, y))
+    counted = [(i, budget, which) for i, (budget, which) in enumerate(requests)]
+    return [c for _, c in mcsim._count_batch(SystemParams(), counted, 0, 0, x.size)]
+
+
+def public_count(x, y, budget, which):
+    if which == "exact":
+        sinr = sinr_exact(x, y, budget)
+    else:
+        lb, ub = sinr_bounds(x, y, budget)
+        sinr = ub if which == "ub" else lb
+    return int(np.count_nonzero(np.asarray(sinr) < budget.ups_th))
+
+
+# extreme powers overflow and meet inf*0 and inf/inf on purpose
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestSinrEdges:
+    NOISY = build_noise_budget(SystemParams())
+    QUIET = build_noise_budget(SystemParams(ris_noise=False))
+    # a surface noise override of -0.0 is a valid input and gives lam = -0.0
+    SIGNED = build_noise_budget(SystemParams(sigma_r2=-0.0))
+    SPECIAL = (0.0, -0.0, 5e-324, 1e-300, 0.25, 1.0, 3.0, 1e300, math.inf)
+
+    def test_bracket_keeps_the_where_form_bits(self):
+        # the one difference: X = Y = inf with lam > 0 gives ub = inf where
+        # the where form gave inf/inf = nan; neither is below the threshold
+        x, y = (np.array(v) for v in zip(*itertools.product(self.SPECIAL, repeat=2)))
+        for budget in (self.NOISY, self.QUIET, self.SIGNED):
+            want = where_bracket(x, y, budget)
+            lb, ub = sinr_bounds(x, y, budget)
+            corner = np.isinf(budget.psi * x) & np.isinf(budget.lam * y)
+            assert np.array_equal(ub[~corner].view(np.uint64),
+                                  want[~corner].view(np.uint64))
+            assert np.all(np.isnan(want[corner])) and np.all(ub[corner] == np.inf)
+            assert np.array_equal(lb.view(np.uint64), (0.5 * ub).view(np.uint64))
+
+    def test_zero_signal_without_surface_noise(self):
+        # X = 0 with lam = 0: the ratio is 0/0, the bracket is psi*X = 0
+        assert sinr_bounds(0.0, 2.0, self.QUIET) == (0.0, 0.0)
+        assert sinr_bounds(0.0, 0.0, self.QUIET) == (0.0, 0.0)
+        assert sinr_exact(0.0, 2.0, self.QUIET) == 0.0
+
+    def test_zero_surface_power_with_noise(self):
+        # Y = 0 with lam > 0: no surface noise in this draw, ub = psi*X
+        lb, ub = sinr_bounds(2.0, 0.0, self.NOISY)
+        assert ub == self.NOISY.psi * 2.0 and lb == 0.5 * ub
+        assert sinr_exact(2.0, 0.0, self.NOISY) == self.NOISY.psi * 2.0
+        # a negative zero, from the powers or from lam, counts as zero
+        assert math.copysign(1.0, self.SIGNED.lam) == -1.0
+        assert sinr_bounds(2.0, -0.0, self.NOISY) == (lb, ub)
+        assert sinr_bounds(2.0, 1.0, self.SIGNED) == (lb, ub)
+
+    def test_infinite_corner(self):
+        assert sinr_bounds(math.inf, math.inf, self.NOISY) == (math.inf, math.inf)
+        assert math.isnan(sinr_exact(math.inf, math.inf, self.NOISY))
+
+    def test_kernel_counts_the_edges_like_the_public_route(self, monkeypatch):
+        # every pair of special powers, and draws whose SINR lands exactly
+        # on the threshold: strictly below counts, equal does not
+        x, y = (np.array(v) for v in zip(*itertools.product(self.SPECIAL, repeat=2)))
+        budgets = [self.NOISY, self.QUIET, self.SIGNED]
+        at_ups = []
+        for budget in (self.NOISY, self.QUIET):
+            sinr = sinr_exact(x, y, budget)
+            ub = sinr_bounds(x, y, budget)[1]
+            for v in (sinr[(x == 1.0) & (y == 1.0)][0], ub[(x == 3.0) & (y == 0.25)][0],
+                      0.5 * ub[(x == 1.0) & (y == 3.0)][0]):
+                at_ups.append(replace(budget, ups_th=float(v)))
+        requests = [(b, w) for b in budgets + at_ups for w in ("exact", "lb", "ub")]
+        got = kernel_counts(monkeypatch, x, y, requests)
+        assert got == [public_count(x, y, b, w) for b, w in requests]
+        # the draw exactly at the threshold is not an outage
+        assert kernel_counts(monkeypatch, [1.0], [1.0], [(at_ups[0], "exact")]) == [0]
+
+
 class TestBinomialCi:
     def test_normal_regime_width(self):
         lo, hi = binomial_ci(5000, 10_000, 0.95)
@@ -348,6 +436,56 @@ class TestEstimateOutages:
         together = estimate_outages(requests, cfg)
         assert together == [estimate_outage(p, cfg) for p, _ in requests]
         assert together[0] != together[1]
+
+
+class TestPinnedCounts:
+    # the smallest Nakagami shape, where draws come nearest to 0, over a
+    # power axis with noiseless twins; batches of 17,000 trials span more
+    # than one count block.  Counts taken from the per-request full-batch
+    # route, which counted each request in passes of its own.
+    CFG = McConfig(trials=40_000, seed=2024, batch=17_000)
+    DBW = (-71.0, -62.0, -53.0, -44.0)
+    PINNED = {   # (exact, lb, ub) with surface noise, then without
+        -71.0: ((39763, 39978, 38865), (28738, 36101, 28738)),
+        -62.0: ((14959, 20073, 9611), (4759, 10346, 4759)),
+        -53.0: ((826, 1404, 434), (225, 734, 225)),
+        -44.0: ((14, 27, 5), (4, 16, 4)),
+    }
+
+    def requests(self):
+        return [(SystemParams(n=5, m_bn=0.5, m_nd=0.5, pb=10.0 ** (dbw / 10.0),
+                              ris_noise=not quiet), which)
+                for dbw in self.DBW for quiet in (False, True)
+                for which in ("exact", "lb", "ub")]
+
+    def public_counts(self, requests, cfg):
+        # the public SINR functions on the same draw_realization batches
+        draws = [draw_realization(requests[0][0], mcsim._batch_rng(cfg.seed, i),
+                                  size=size)
+                 for i, size in enumerate(mcsim._batch_sizes(cfg.trials, cfg.batch))]
+        return [sum(public_count(x, y, build_noise_budget(params), which)
+                    for x, y in draws) for params, which in requests]
+
+    def test_counts_are_pinned(self):
+        want = [c for dbw in self.DBW for row in self.PINNED[dbw] for c in row]
+        got = estimate_outages(self.requests(), self.CFG)
+        assert [e.p_hat for e in got] == [c / self.CFG.trials for c in want]
+
+    def test_counts_match_the_public_sinr(self):
+        requests = self.requests()
+        got = estimate_outages(requests, self.CFG)
+        want = self.public_counts(requests, self.CFG)
+        assert [e.p_hat for e in got] == [c / self.CFG.trials for c in want]
+
+    def test_count_block_changes_no_count(self, monkeypatch):
+        requests = self.requests()
+        cfg = McConfig(trials=2_000, seed=3, batch=2_000)
+        want = [c / cfg.trials for c in self.public_counts(requests, cfg)]
+        # one trial, a prime that does not divide the batch, the whole batch
+        for block in (1, 7, cfg.batch):
+            monkeypatch.setattr(mcsim, "_COUNT_BLOCK", block)
+            got = estimate_outages(requests, cfg)
+            assert [e.p_hat for e in got] == want, block
 
 
 class TestEstimateThroughput:

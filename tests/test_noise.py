@@ -18,6 +18,7 @@ from risnoise.noise import (
     sinr_threshold,
     watts_from_db,
 )
+from risnoise.outage import build_link_model
 
 KTB_290_20M = 1.380649e-23 * 290.0 * 20e6  # 8.0077642e-14 W
 
@@ -131,6 +132,16 @@ def test_sinr_threshold_branch_consistency():
         sinr_threshold(-1.0, 20e6)
     with pytest.raises(ValueError):
         sinr_threshold(1e6, 0.0)
+
+
+def test_sinr_threshold_refuses_a_ratio_past_the_double_range():
+    # 2**1024 overflows a double; the refusal names the rate
+    assert sinr_threshold(1023.0, 1.0) == 2.0 ** 1023 - 1.0
+    for rate, bw in ((1024.0, 1.0), (1e12, 1e6), (2e300, 1e-300)):
+        with pytest.raises(ValueError, match="rate"):
+            sinr_threshold(rate, bw)
+    with pytest.raises(ValueError, match="rate"):
+        build_link_model(SystemParams(rate=1e12, bw=1e6))
 
 
 class TestBudget:
