@@ -17,7 +17,7 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields
 from importlib import resources
 
 import numpy as np
@@ -85,16 +85,17 @@ _PARAM_FIELDS = {f.name for f in dc_fields(SystemParams)}
 
 @dataclass(frozen=True)
 class SweepGrid:
-    axis: str
-    start: float
-    stop: float
-    points: int
-    fixed: dict
-    modes: tuple
-    trials: int = 1_000_000
+    """A sweep config: its fields are the config keys, with their defaults."""
+    axis: str = "transmit_power_dBW"
+    start: float = -80.0
+    stop: float = -50.0
+    points: int = 31
+    fixed: dict = field(default_factory=dict)
+    modes: tuple = ("analytic_lb",)
+    trials: int = McConfig.trials
     seed: int = 20240817
-    batch: int = 250_000
-    ci_level: float = 0.95
+    batch: int = McConfig.batch
+    ci_level: float = McConfig.ci_level
     description: str = ""
 
     @property
@@ -149,49 +150,44 @@ def load_grid(path_or_name: str, *, seed: int | None = None,
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
 
+    # the schema's defaults, then the config, then the overrides
+    values = dict(vars(SweepGrid()))
     problems = []
-    known = {"axis", "start", "stop", "points", "fixed", "modes", "trials",
-             "seed", "batch", "ci_level", "description"}
-    for key in sorted(set(raw) - known):
-        problems.append(f"unknown key {key!r}")
+    for key in sorted(raw, key=str):
+        if key in values:
+            values[key] = raw[key]
+        else:
+            problems.append(f"unknown key {key!r}")
+    for key, override in (("seed", seed), ("trials", trials), ("modes", modes)):
+        if override is not None:
+            values[key] = override
 
-    axis = raw.get("axis", "transmit_power_dBW")
-    if axis not in AXIS_FIELDS:
+    axis = values["axis"]
+    if not isinstance(axis, str) or axis not in AXIS_FIELDS:
         problems.append(f"axis: must be one of {sorted(AXIS_FIELDS)}, got {axis!r}")
 
-    def number(key, default):
-        v = raw.get(key, default)
-        # abs(v) <= the largest double refuses NaN, inf and ints no double holds
-        if not isinstance(v, (int, float)) or isinstance(v, bool) \
-                or not abs(v) <= sys.float_info.max:
-            problems.append(f"{key}: finite number required, got {v!r}")
-            return default
-        return v
+    start, stop = values["start"], values["stop"]
+    refused = noise.problems(start=start, stop=stop)
+    # a refused bound says nothing about the order
+    if not refused and start >= stop:
+        refused.append(f"start must be below stop, got {start!r} >= {stop!r}")
+    problems += refused + noise.problems(
+        **{key: values[key] for key in ("points", "trials", "seed", "batch",
+                                        "ci_level")})
 
-    refused = len(problems)
-    start = number("start", -80.0)
-    stop = number("stop", -50.0)
-    # a refused bound is replaced by its default, which says nothing
-    if len(problems) == refused and start >= stop:
-        problems.append(f"start must be below stop, got {start!r} >= {stop!r}")
-    points = raw.get("points", 31)
-    if not isinstance(points, int) or isinstance(points, bool) or points < 2:
-        problems.append(f"points: integer >= 2 required, got {points!r}")
-        points = 2
-
-    fixed = raw.get("fixed", {}) or {}
+    fixed = values["fixed"] or {}
     if not isinstance(fixed, dict):
         problems.append(f"fixed: mapping required, got {fixed!r}")
         fixed = {}
     else:
         allowed = _PARAM_FIELDS | {"pb_dbw"}
-        for key in sorted(set(fixed) - allowed):
+        for key in sorted(set(fixed) - allowed, key=str):
             problems.append(f"fixed.{key}: not a system parameter "
                             f"(known: {sorted(allowed)})")
         if "pb" in fixed and "pb_dbw" in fixed:
             problems.append("fixed: give pb (watts) or pb_dbw, not both")
 
-    raw_modes = modes if modes is not None else raw.get("modes", ["analytic_lb"])
+    raw_modes = values["modes"]
     if isinstance(raw_modes, str):
         raw_modes = [raw_modes]
     if not isinstance(raw_modes, (list, tuple)) or not raw_modes:
@@ -204,23 +200,19 @@ def load_grid(path_or_name: str, *, seed: int | None = None,
     if chosen == ("noiseless_variant",):
         problems.append("modes: noiseless_variant re-emits other modes and "
                         "cannot be the only one selected")
-
-    grid = SweepGrid(
-        axis=axis, start=float(start), stop=float(stop), points=points,
-        fixed=dict(fixed), modes=chosen,
-        trials=trials if trials is not None else raw.get("trials", 1_000_000),
-        seed=seed if seed is not None else raw.get("seed", 20240817),
-        batch=raw.get("batch", 250_000), ci_level=raw.get("ci_level", 0.95),
-        description=str(raw.get("description", "")))
-    problems += grid.mc_config.problems()
-    if axis == "element_count" and not problems:
-        for v in np.linspace(grid.start, grid.stop, grid.points):
-            if abs(v - round(v)) > 1e-9:
-                problems.append(
-                    "element_count axis: every grid value must be an integer; "
-                    f"{grid.start}..{grid.stop} over {grid.points} points "
-                    f"produces {v}")
-                break
+    if not problems:
+        values.update(start=float(start), stop=float(stop), fixed=dict(fixed),
+                      modes=chosen, description=str(values["description"]))
+        grid = SweepGrid(**values)
+        # last, on a grid that is otherwise sound
+        if axis == "element_count":
+            for v in np.linspace(grid.start, grid.stop, grid.points):
+                if abs(v - round(v)) > 1e-9:
+                    problems.append(
+                        "element_count axis: every grid value must be an "
+                        f"integer; {grid.start}..{grid.stop} over "
+                        f"{grid.points} points produces {v}")
+                    break
     if problems:
         raise ConfigError(f"{path}:\n  " + "\n  ".join(problems))
     return grid
@@ -231,13 +223,13 @@ def _params_at(grid: SweepGrid, value: float, quiet: bool = False) -> SystemPara
     over = dict(grid.fixed)
     if "pb_dbw" in over:
         over["pb"] = watts_from_db(over.pop("pb_dbw"))
-    field = AXIS_FIELDS[grid.axis]
+    name = AXIS_FIELDS[grid.axis]
     if grid.axis == "transmit_power_dBW":
-        over[field] = 10.0 ** (value / 10.0)
+        over[name] = watts_from_db(value)
     elif grid.axis == "element_count":
-        over[field] = int(round(value))
+        over[name] = int(round(value))
     else:
-        over[field] = float(value)
+        over[name] = float(value)
     if quiet:
         over["ris_noise"] = False
     return SystemParams(**over)
@@ -387,7 +379,7 @@ def _checks_fast() -> list[tuple[str, bool, str]]:
     worst = 0.0
     worst_prod = 0.0
     for n, pb_dbw in ((5, -65.0), (10, -65.0), (20, -60.0)):
-        link = build_link_model(SystemParams(n=n, pb=10.0 ** (pb_dbw / 10.0)))
+        link = build_link_model(SystemParams(n=n, pb=watts_from_db(pb_dbw)))
         series = xi1_closed(link)
         oracle = xi1_oracle(link, integer_shape=True)
         worst = max(worst, abs(series - oracle) / max(oracle, 1e-300))
@@ -400,7 +392,7 @@ def _checks_fast() -> list[tuple[str, bool, str]]:
     ok = True
     for pb_dbw in np.linspace(-75.0, -50.0, 10):
         link = build_link_model(
-            SystemParams(n=5, pb=10.0 ** (pb_dbw / 10.0), ris_noise=False))
+            SystemParams(n=5, pb=watts_from_db(pb_dbw), ris_noise=False))
         if outage_lb(link) != xi2(link):
             ok = False
     out.append(_check("noiseless-reduction", ok, "outage_lb == xi2, bitwise"))
@@ -416,7 +408,7 @@ def _checks_fast() -> list[tuple[str, bool, str]]:
     ok = True
     for n in (5, 10):
         for pb_dbw in (-70.0, -63.0):
-            link = build_link_model(SystemParams(n=n, pb=10.0 ** (pb_dbw / 10.0)))
+            link = build_link_model(SystemParams(n=n, pb=watts_from_db(pb_dbw)))
             if not outage_lb(link) < outage_ub(link):
                 ok = False
     out.append(_check("bound-order", ok, "outage_lb < outage_ub"))

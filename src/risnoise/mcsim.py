@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from . import noise
 from .noise import NoiseBudget, SystemParams, build_noise_budget, path_loss
 from .fading import sample_nakagami
 
@@ -75,17 +76,7 @@ class McConfig:
 
     def problems(self) -> list[str]:
         """One line per field that cannot run, naming the field."""
-        out = []
-        for name, low, high, what in (
-                ("trials", 1_000, math.inf, "integer >= 1000 (for a confidence interval)"),
-                ("seed", 0, 2 ** 64, "unsigned 64-bit integer"),
-                ("batch", 1, math.inf, "positive integer")):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or not low <= v < high:
-                out.append(f"{name}: {what} required, got {v!r}")
-        if not isinstance(self.ci_level, float) or not 0.0 < self.ci_level < 1.0:
-            out.append(f"ci_level: must lie in (0, 1), got {self.ci_level!r}")
-        return out
+        return noise.problems(**vars(self))
 
     def validate(self) -> None:
         problems = self.problems()
@@ -111,15 +102,12 @@ class ThroughputEstimate:
 
 
 def draw_realization(params: SystemParams, rng: np.random.Generator,
-                     size: int | None = None, validate_phases: bool = False):
+                     size: int | None = None):
     """Sample the combined signal power X and the surface power sum Y.
 
     The same |g_nd| draws feed both X and Y; that coupling is physical and
     the estimators depend on it.  The |g_bn| draws are held in full; the
-    |g_nd| draws follow in row blocks, reduced as they come.  With
-    validate_phases=True the draw is repeated through the complex-channel
-    route (random phases, surface set to phi_n = -arg(conj(g_nd) g_bn)) and
-    checked against the amplitude route to round-off.
+    |g_nd| draws follow in row blocks, reduced as they come.
     """
     params.validate()
     k = 1 if size is None else int(size)
@@ -131,22 +119,13 @@ def draw_realization(params: SystemParams, rng: np.random.Generator,
     a = sample_nakagami(rng, params.m_bn, om_bn, size=(k, n))
     x = np.empty(k)
     y = np.empty(k)
-    # the phase check draws after all of b, so it takes the batch as one block
-    rows = k if validate_phases else max(1, _BLOCK_AMPLITUDES // n)
+    rows = max(1, _BLOCK_AMPLITUDES // n)
     for lo in range(0, k, rows):
         block = slice(lo, min(lo + rows, k))
         b = sample_nakagami(rng, params.m_nd, om_nd, size=(block.stop - lo, n))
         d = (a[block] * b).sum(axis=1)
         x[block] = d * d
         y[block] = (b * b).sum(axis=1)
-    if validate_phases:
-        gb = a * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(k, n)))
-        gd = b * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(k, n)))
-        term = np.conj(gd) * gb
-        phased = np.abs((term * np.exp(-1j * np.angle(term))).sum(axis=1))
-        if not np.allclose(phased * phased, x, rtol=1e-10, atol=0.0):
-            raise ArithmeticError("phase-aligned complex route disagrees "
-                                  "with the amplitude route")
     if size is None:
         return float(x[0]), float(y[0])
     return x, y

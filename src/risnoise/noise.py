@@ -34,11 +34,12 @@ _PROBABILITY = (_REAL, 0.0, 1.0, "must lie in [0, 1]")
 
 # The rule for every numeric input, keyed by the name it goes by: the
 # SystemParams fields, the names the public helpers give the same
-# quantities, the outage threshold ups and the probabilities the outage
-# module composes.  A rule is (types, lo, hi, text): the value must be a
-# finite real number (a bool is not one) in [lo, hi], and an int where types
-# is _INT.  NaN slips past a check written as `if v < lo: raise`, and inf
-# breaks the noise budget.
+# quantities, the outage threshold ups, the probabilities the outage
+# module composes, and the sweep and Monte Carlo settings of a config.  A
+# rule is (types, lo, hi, text): the value must be a finite real number (a
+# bool is not one) in [lo, hi], and an int where types is _INT.  NaN slips
+# past a check written as `if v < lo: raise`, and inf breaks the noise
+# budget.
 RULES = {
     "n": (_INT, 1, _MAX, "positive integer required"),
     "alpha": (_REAL, _ABOVE_0, 1.0, "must lie in (0, 1]"),
@@ -54,29 +55,46 @@ RULES = {
     "ups": _NONNEGATIVE,
     "xi1": _PROBABILITY, "xi2": _PROBABILITY, "outage": _PROBABILITY,
     "target": (_REAL, _ABOVE_0, _BELOW_1, "must lie in (0, 1)"),
+    "start": _ANY, "stop": _ANY,
+    "points": (_INT, 2, _MAX, "integer >= 2 required"),
+    "trials": (_INT, 1_000, _MAX,
+               "integer >= 1000 required (for a confidence interval)"),
+    "seed": (_INT, 0, 2 ** 64 - 1, "unsigned 64-bit integer required"),
+    "batch": (_INT, 1, _MAX, "positive integer required"),
+    "ci_level": (_REAL, _ABOVE_0, _BELOW_1, "must lie in (0, 1)"),
 }
 
 
-def check(**values) -> None:
-    """Refuse every value that breaks the RULES entry of its name.
-
-    One ValueError lists each bad argument as "<name>: <rule>, got <value>".
-    """
-    problems = []
+def _problems(values: dict) -> list[str]:
+    out = []
     for name, v in values.items():
         types, lo, hi, rule = RULES[name]
         # a plain float or int in range: the bounds are finite, so NaN and
         # inf fail them too
         if type(v) in types and lo <= v <= hi:
             continue
-        # a bool, a numpy scalar, a non-number or a value out of range
+        # a bool, a numpy scalar, a non-number or a value out of range;
+        # abs(v) <= _MAX also refuses the ints no double holds
         if isinstance(v, bool) or not isinstance(v, numbers.Real) \
-                or not -math.inf < v < math.inf:
-            problems.append(f"{name}: finite number required, got {v!r}")
+                or not abs(v) <= _MAX:
+            out.append(f"{name}: finite number required, got {v!r}")
         elif not lo <= v <= hi or types is _INT:
-            problems.append(f"{name}: {rule}, got {v!r}")
-    if problems:
-        raise ValueError("; ".join(problems))
+            out.append(f"{name}: {rule}, got {v!r}")
+    return out
+
+
+def problems(**values) -> list[str]:
+    """A "<name>: <rule>, got <value>" line per value that breaks its rule."""
+    return _problems(values)
+
+
+def check(**values) -> None:
+    """Refuse the values problems() finds, in one ValueError naming each."""
+    # not problems(**values), which copies the keywords once more: check
+    # runs on every call into the model
+    found = _problems(values)
+    if found:
+        raise ValueError("; ".join(found))
 
 
 def db_from_watts(p: float) -> float:

@@ -32,7 +32,8 @@ import numpy as np
 from scipy.special import gammainc, gammaincc, logsumexp
 
 from .fading import CascadeApprox, cascade_approx, cdf_X, pdf_Y, y_gamma_params
-from .noise import NoiseBudget, SystemParams, build_noise_budget, check, path_loss
+from .noise import (NoiseBudget, SystemParams, build_noise_budget, check, path_loss,
+                    watts_from_db)
 from .specfun import (
     AccuracyError,
     _slater_loss_digits,
@@ -269,6 +270,10 @@ def outage_lb(link: LinkModel) -> float:
 def outage_ub(link: LinkModel) -> float:
     """Upper bound on outage: same form at twice the threshold."""
     ups = 2.0 * link.budget.ups_th
+    if ups == math.inf:
+        # twice the threshold 2^(rate/bw) - 1 overflows from rate/bw = 1023 on
+        raise ValueError(f"rate: rate/bw must be below 1023 for the upper bound, "
+                         f"got rate={link.params.rate!r} over bw={link.params.bw!r}")
     return compose_outage(xi1(link, ups), xi2(link, ups))
 
 
@@ -376,7 +381,7 @@ def power_for_outage(params: SystemParams, target: float,
     from scipy import optimize
 
     def gap(p_dbw: float) -> float:
-        link = build_link_model(replace(params, pb=10.0 ** (p_dbw / 10.0)))
+        link = build_link_model(replace(params, pb=watts_from_db(p_dbw)))
         po = evaluate_mode(link, mode)
         if po <= 0.0:
             return -600.0 - math.log10(target)

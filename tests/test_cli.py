@@ -55,6 +55,7 @@ class TestLoadGrid:
         assert grid.modes == ("analytic_lb",)
         assert grid.trials == 1_000_000
         assert grid.seed == 20240817
+        assert grid == SweepGrid()
 
     def test_round_trip(self, tmp_path):
         grid = load_grid(write_config(tmp_path, SMALL_SWEEP))
@@ -73,6 +74,34 @@ class TestLoadGrid:
         assert "unknown key 'bogus'" in msg
         assert "axis:" in msg
         assert "points:" in msg
+
+    # an int key sorts beside a str key by its text
+    @pytest.mark.parametrize("text,want", [
+        ("1: 2\nbogus: 3\n", ["unknown key 1", "unknown key 'bogus'"]),
+        ("fixed:\n  1: 2\n  bogus: 3\n", ["fixed.1: ", "fixed.bogus: "])])
+    def test_mixed_type_keys_are_listed_as_unknown(self, tmp_path, text, want):
+        with pytest.raises(ConfigError) as err:
+            load_grid(write_config(tmp_path, text))
+        lines = str(err.value).splitlines()[1:]
+        assert [line.strip()[:len(w)] for line, w in zip(lines, want)] == want
+        assert len(lines) == 2
+
+    def test_unhashable_axis_is_refused(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"axis: must be one of .*\['a'\]"):
+            load_grid(write_config(tmp_path, "axis: [a]\n"))
+
+    # a value each rule refuses: the message is the rule table's own line
+    @pytest.mark.parametrize("key,text,value", [
+        ("start", ".nan", math.nan), ("stop", "1" + "0" * 400, 10 ** 400),
+        ("points", "2.5", 2.5), ("trials", "999", 999), ("seed", "-1", -1),
+        ("batch", "true", True), ("ci_level", "1", 1)])
+    def test_settings_are_refused_by_the_rule_table(self, tmp_path, key, text,
+                                                    value):
+        with pytest.raises(ConfigError) as err:
+            load_grid(write_config(tmp_path, f"{key}: {text}\n"))
+        [line] = noise.problems(**{key: value})
+        assert line.startswith(f"{key}: ")
+        assert str(err.value).splitlines()[1:] == [f"  {line}"]
 
     def test_pb_and_pb_dbw_conflict(self, tmp_path):
         path = write_config(tmp_path,
@@ -388,6 +417,15 @@ class TestMain:
                    str(tmp_path / "x.csv")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_sweep_mixed_type_keys_exit_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, "1: 2\nbogus: 3\n")
+        rc = main(["sweep", "--config", config, "--out",
+                   str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unknown key 1" in err
+        assert "Traceback" not in err
 
     def test_sweep_non_finite_parameter_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, SMALL_SWEEP.replace(

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -61,12 +62,18 @@ class TestDrawRealization:
         assert isinstance(x, float) and isinstance(y, float)
         assert x > 0.0 and y > 0.0
 
-    def test_phase_validation_mode_agrees(self):
-        # complex route with the cancelling phase profile reproduces the
-        # amplitude route; a mismatch raises instead of returning
-        x, y = draw_realization(SystemParams(n=10), rng_for(11), size=20_000,
-                                validate_phases=True)
-        assert x.shape == (20_000,)
+    def test_complex_channel_route_agrees(self):
+        # random channel phases with the cancelling surface profile
+        # phi_n = -arg(conj(g_nd) g_bn) give the amplitude route's X
+        params, size = SystemParams(n=10), 20_000
+        x, _ = draw_realization(params, rng_for(11), size=size)
+        rng = rng_for(11)
+        _, _, a, b = unblocked_draw(params, rng, size)
+        gb = a * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=a.shape))
+        gd = b * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=b.shape))
+        term = np.conj(gd) * gb
+        phased = np.abs((term * np.exp(-1j * np.angle(term))).sum(axis=1))
+        assert_allclose(phased * phased, x, rtol=1e-10, atol=0.0)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -76,13 +83,14 @@ class TestDrawRealization:
 
 
 def unblocked_draw(params, rng, size):
-    # both hops drawn in full, in stream order, then reduced per row
+    # both hops drawn in full, in stream order, then reduced per row:
+    # X, Y and the hop amplitudes a = |g_bn|, b = |g_nd|
     om_bn = path_loss(params.d_bn, params.tau_bn, params.phi_ref)
     om_nd = path_loss(params.d_nd, params.tau_nd, params.phi_ref)
     a = sample_nakagami(rng, params.m_bn, om_bn, size=(size, params.n))
     b = sample_nakagami(rng, params.m_nd, om_nd, size=(size, params.n))
     d = (a * b).sum(axis=1)
-    return d * d, (b * b).sum(axis=1)
+    return d * d, (b * b).sum(axis=1), a, b
 
 
 class TestBlockedDraw:
@@ -93,16 +101,14 @@ class TestBlockedDraw:
     def test_block_size_changes_no_bit(self, monkeypatch, m_bn, m_nd):
         params = SystemParams(n=10, m_bn=m_bn, m_nd=m_nd)
         want = [v.view(np.uint64) for v in
-                unblocked_draw(params, mcsim._batch_rng(5, 3), self.SIZE)]
+                unblocked_draw(params, mcsim._batch_rng(5, 3), self.SIZE)[:2]]
         # one row, a prime row count that does not divide the batch, and
         # one block for the whole batch
         for rows in (1, 7, self.SIZE):
             monkeypatch.setattr(mcsim, "_BLOCK_AMPLITUDES", rows * params.n)
-            for phases in (False, True):
-                got = draw_realization(params, mcsim._batch_rng(5, 3),
-                                       size=self.SIZE, validate_phases=phases)
-                for g, w in zip(got, want):
-                    assert np.array_equal(g.view(np.uint64), w), (rows, phases)
+            got = draw_realization(params, mcsim._batch_rng(5, 3), size=self.SIZE)
+            for g, w in zip(got, want):
+                assert np.array_equal(g.view(np.uint64), w), rows
 
     def test_stream_order_is_pinned(self):
         # the Philox (seed, batch index) contract: these bytes may change
@@ -408,6 +414,11 @@ class TestEstimateOutage:
         msg = str(err.value)
         for field in ("trials", "seed", "batch", "ci_level"):
             assert f"{field}:" in msg
+        assert "trials: finite number required, got True" in msg
+        with pytest.raises(ConfigError, match=re.escape(
+                "trials: integer >= 1000 required (for a confidence interval), "
+                "got 999")):
+            McConfig(trials=999).validate()
 
 
 class TestEstimateOutages:

@@ -366,6 +366,13 @@ class TestOutageReport:
         assert 0.0 < tiny.budget.lam < 1e-2
         assert outage_report(tiny).reliability_flag == 1
 
+    def test_doubled_threshold_past_the_double_range_names_the_rate(self):
+        # 2^1023.5 - 1 is a finite threshold, but the upper bound doubles it
+        link = build_link_model(SystemParams(rate=1023.5 * 20e6))
+        assert math.isfinite(link.budget.ups_th)
+        with pytest.raises(ValueError, match=r"^rate: rate/bw must be below 1023"):
+            outage_report(link)
+
 
 class TestPowerForOutage:
     def test_crossing_hits_target(self):
