@@ -186,6 +186,10 @@ def load_grid(path_or_name: str, *, seed: int | None = None,
                             f"(known: {sorted(allowed)})")
         if "pb" in fixed and "pb_dbw" in fixed:
             problems.append("fixed: give pb (watts) or pb_dbw, not both")
+        if "pb_dbw" in fixed:
+            # _params_at converts it to watts with no check of its own
+            problems += ["fixed." + p
+                         for p in noise.problems(pb_dbw=fixed["pb_dbw"])]
 
     raw_modes = values["modes"]
     if isinstance(raw_modes, str):

@@ -22,6 +22,7 @@ NF_DEFAULT = 10.0 ** 0.3   # 3 dB receiver noise figure, linear
 
 _REAL = (float, int)
 _INT = (int,)
+_BOOL = (bool,)
 _MAX = sys.float_info.max
 # the doubles next to 0 and 1: as closed bounds they state v > 0 and v < 1
 _ABOVE_0 = math.nextafter(0.0, 1.0)
@@ -37,9 +38,9 @@ _PROBABILITY = (_REAL, 0.0, 1.0, "must lie in [0, 1]")
 # quantities, the outage threshold ups, the probabilities the outage
 # module composes, and the sweep and Monte Carlo settings of a config.  A
 # rule is (types, lo, hi, text): the value must be a finite real number (a
-# bool is not one) in [lo, hi], and an int where types is _INT.  NaN slips
-# past a check written as `if v < lo: raise`, and inf breaks the noise
-# budget.
+# bool is not one) in [lo, hi], and an int where types is _INT; where types
+# is _BOOL it must be a bool and nothing else.  NaN slips past a check
+# written as `if v < lo: raise`, and inf breaks the noise budget.
 RULES = {
     "n": (_INT, 1, _MAX, "positive integer required"),
     "alpha": (_REAL, _ABOVE_0, 1.0, "must lie in (0, 1]"),
@@ -49,6 +50,12 @@ RULES = {
     "phi_ref": _POSITIVE, "bw": _POSITIVE, "temp": _POSITIVE,
     "nf": (_REAL, 1.0, _MAX, "linear noise figure must be >= 1"),
     "pb": _POSITIVE, "p": _POSITIVE, "rate": _NONNEGATIVE,
+    # the transmit power in dBW, inside the range whose watt value is a
+    # positive double
+    "pb_dbw": (_REAL, -3233.0, 3082.5,
+               "must lie in [-3233, 3082.5] dBW (a positive double in watts)"),
+    # a switch: a truthy string or number would turn the noise on silently
+    "ris_noise": (_BOOL, False, True, "true or false required"),
     "sigma_d2": _POSITIVE, "sigma_r2": _NONNEGATIVE,
     "omega": _POSITIVE, "omega_bn": _POSITIVE, "omega_nd": _POSITIVE,
     "mu": _POSITIVE, "sigma2": _POSITIVE,
@@ -72,6 +79,9 @@ def _problems(values: dict) -> list[str]:
         # a plain float or int in range: the bounds are finite, so NaN and
         # inf fail them too
         if type(v) in types and lo <= v <= hi:
+            continue
+        if types is _BOOL:
+            out.append(f"{name}: {rule}, got {v!r}")
             continue
         # a bool, a numpy scalar, a non-number or a value out of range;
         # abs(v) <= _MAX also refuses the ints no double holds
@@ -178,13 +188,13 @@ class SystemParams:
     sigma_r2: float | None = None
 
     def validate(self) -> None:
-        """Check every numeric field against RULES, naming each bad one."""
+        """Check every field against RULES, naming each bad one."""
         # the instance dict holds exactly the fields and reads faster than
-        # dataclasses.fields; ris_noise is a switch, not a number, and a
-        # None override is derived
+        # dataclasses.fields; a None override is derived, but ris_noise has
+        # no derived value and None would read as off
         try:
             check(**{k: v for k, v in vars(self).items()
-                     if k != "ris_noise" and v is not None})
+                     if v is not None or k == "ris_noise"})
         except ValueError as exc:
             raise ValueError(f"invalid system parameters: {exc}") from None
 

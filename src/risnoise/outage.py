@@ -16,12 +16,16 @@ Y, with P the regularized lower incomplete gamma at the integer-rounded
 cascade shape dint.  The production route xi1 evaluates it in double
 precision by an exponentially convergent trapezoid rule; every analytic
 output (outage_lb, outage_ub, outage_report, power_for_outage) goes through
-it.  Two check-only oracles are kept beside it: xi1_closed, the paper's
-closed series (one restricted Meijer-G value per term, summed in mpmath),
-and xi1_oracle, an adaptive quadrature of the defining probability.
-xi1_closed imports mpmath, xi1_oracle scipy.integrate (through
-integrate_semi_infinite) and power_for_outage scipy.optimize, each on first
-call, so evaluating a bound loads none of them.
+it.  Its nodes stop 60 e-folds below the peak weight on the left, where the
+integrand falls with the weight, and 745 on the right, where it need not;
+the left nodes dropped move no result by more than the rounding of the
+shorter sum (under 1e-15 relative).  Two check-only oracles are kept
+beside it: xi1_closed, the paper's closed series (one restricted Meijer-G
+value per term, summed in mpmath), and xi1_oracle, an adaptive quadrature
+of the defining probability.  xi1_closed imports mpmath, xi1_oracle
+scipy.integrate (through integrate_semi_infinite) and power_for_outage
+scipy.optimize, each on first call, so evaluating a bound loads none of
+them.
 """
 from __future__ import annotations
 
@@ -91,6 +95,9 @@ def xi2(link: LinkModel, ups: float | None = None) -> float:
 # nodes whose Gamma weight sits this many e-folds below the peak weight
 # carry nothing a double can hold next to it
 _LOG_TINY = -745.0
+# left of the peak P only falls, so a node this far below the peak weight
+# adds at most e^-60 of the peak node's own term (see xi1)
+_LOG_TINY_LEFT = -60.0
 
 
 def xi1(link: LinkModel, ups: float | None = None) -> float:
@@ -115,6 +122,17 @@ def xi1(link: LinkModel, ups: float | None = None) -> float:
     precision throughout, no module state, safe to call from any thread.
     Relative accuracy is about 1e-12 down to values near 1e-300, where the
     products w*P turn subnormal.
+
+    The node set is cut on each side of the peak u = 0 by its own rule.
+    Left of it (u < 0) nodes whose log-weight is below _LOG_TINY_LEFT
+    (-60) are dropped: there c*sqrt(Y) rises with u, so P does too, and
+    each dropped w*P is at most e^-60 times the w*P of the u = 0 node,
+    which is in the sum; on the complement route each dropped w*Q is at
+    most e^-60 times the summed weights, an absolute error far below the
+    ulp of a result above 0.5.  Right of it the cut stays at _LOG_TINY
+    (-745), where the weight itself leaves the double range: there P grows
+    like Y^(dint/2), so a node's share of the sum is not bounded by its
+    weight alone, and a relative cut on w would not be safe.
     """
     ups = _threshold(link, ups)
     lam, psi = link.budget.lam, link.budget.psi
@@ -123,11 +141,12 @@ def xi1(link: LinkModel, ups: float | None = None) -> float:
     a = link.y_shape
     dint = link.approx.delta_int
     h = min(0.25, 0.4 / math.sqrt(a + dint / 2.0))
-    # past these ends the log-weight a*(u - expm1(u)) is below _LOG_TINY
-    u_lo, u_hi = -1.0 + _LOG_TINY / a, math.log(2.0 - 2.0 * _LOG_TINY / a)
+    # past these ends the log-weight a*(u - expm1(u)) is below its cut
+    u_lo = -1.0 + _LOG_TINY_LEFT / a
+    u_hi = math.log(2.0 - 2.0 * _LOG_TINY / a)
     u = h * np.arange(math.floor(u_lo / h), math.ceil(u_hi / h) + 1)
     log_w = a * (u - np.expm1(u))
-    keep = log_w >= _LOG_TINY
+    keep = log_w >= np.where(u < 0.0, _LOG_TINY_LEFT, _LOG_TINY)
     u, w = u[keep], np.exp(log_w[keep])
     c = math.sqrt(lam * ups / psi) / link.approx.zeta
     x = c * math.sqrt(a / link.y_rate) * np.exp(0.5 * u)

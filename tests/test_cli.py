@@ -460,6 +460,25 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "rate" in err
 
+    @pytest.mark.parametrize("entry, key", [
+        # a truthy string switched the surface noise on and exited 0
+        ("ris_noise: \"no\"", "ris_noise"),
+        # these escaped as a TypeError and an OverflowError traceback
+        ("pb_dbw: abc", "fixed.pb_dbw"),
+        ("pb_dbw: 4000", "fixed.pb_dbw"),
+    ])
+    def test_sweep_bad_fixed_value_exits_2(self, tmp_path, capsys, entry,
+                                           key):
+        config = write_config(tmp_path, SMALL_SWEEP.replace(
+            "  n: 5\n", f"  n: 5\n  {entry}\n"))
+        out = tmp_path / "x.csv"
+        rc = main(["sweep", "--config", config, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_sweep_bad_worker_variable_exits_2(self, tmp_path, capsys,
                                                monkeypatch):
         monkeypatch.setenv("RISNOISE_WORKERS", "abc")

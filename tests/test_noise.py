@@ -198,6 +198,7 @@ class TestBudget:
         dict(m_bn=0.3), dict(m_nd=0.0), dict(d_bn=-1.0), dict(d_nd=0.0),
         dict(bw=0.0), dict(temp=-5.0), dict(nf=0.5), dict(pb=0.0),
         dict(rate=-1.0), dict(sigma_d2=0.0), dict(sigma_r2=-1e-15),
+        dict(ris_noise="no"), dict(ris_noise=1), dict(ris_noise=None),
     ])
     def test_validation_rejects(self, bad):
         with pytest.raises(ValueError):

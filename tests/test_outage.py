@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import special
 
 from risnoise import outage
 from risnoise.noise import SystemParams
@@ -170,9 +171,38 @@ class TestXi1:
                 assert_allclose(xi1(link, ups), want, rtol=1e-11, atol=1e-300,
                                 err_msg=f"pb={pb_dbw} dBW, ups={ups}")
 
+    @pytest.mark.parametrize("n", [1, 5, 20, 256, 512])
+    def test_trimmed_nodes_match_the_full_range_rule(self, n):
+        # the rule with every node down to 745 e-folds below the peak on
+        # both sides, as it ran before the left end was cut at 60
+        def full_range(link, ups):
+            a, dint = link.y_shape, link.approx.delta_int
+            h = min(0.25, 0.4 / math.sqrt(a + dint / 2.0))
+            u_lo, u_hi = -1.0 - 745.0 / a, math.log(2.0 + 1490.0 / a)
+            u = h * np.arange(math.floor(u_lo / h), math.ceil(u_hi / h) + 1)
+            log_w = a * (u - np.expm1(u))
+            u, w = u[log_w >= -745.0], np.exp(log_w[log_w >= -745.0])
+            c = math.sqrt(link.budget.lam * ups / link.budget.psi) / link.approx.zeta
+            x = c * math.sqrt(a / link.y_rate) * np.exp(0.5 * u)
+            lower = np.sum(w * special.gammainc(dint, x)) / np.sum(w)
+            if lower <= 0.5:
+                return float(lower)
+            return float(1.0 - np.sum(w * special.gammaincc(dint, x)) / np.sum(w))
+
+        for m_nd in (0.5, 1.3, 2.7):
+            for m_bn in (0.5, 4.0):
+                for pb_dbw in range(-90, -19, 5):
+                    link = link_at(float(pb_dbw), n=n, m_nd=m_nd, m_bn=m_bn)
+                    for ups in (link.budget.ups_th, 2.0 * link.budget.ups_th):
+                        assert_allclose(
+                            xi1(link, ups), full_range(link, ups),
+                            rtol=4e-15, atol=1e-300,
+                            err_msg=f"m_nd={m_nd}, m_bn={m_bn}, "
+                                    f"pb={pb_dbw} dBW, ups={ups}")
+
     def test_pinned_where_the_series_is_off(self):
         # a 40-digit quadrature of the defining integral gives
-        # 2.19908213166229e-18 here; the series returns 2.1990821316931533e-18
+        # 2.19908213166229e-18 here; the series returns 2.1990821316805315e-18
         link = link_at(-40.0, n=5)
         assert_allclose(xi1(link), 2.19908213166229e-18, rtol=1e-12)
 

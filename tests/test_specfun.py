@@ -49,6 +49,23 @@ class TestRegLowerGamma:
         with pytest.raises(ValueError):
             reg_lower_gamma(2.0, -1.0)
 
+    def test_float_arguments_take_the_array_path_bits_and_errors(self):
+        # two floats skip the array conversion; it must not show
+        edges = [0.0, -0.0, 5e-324, 2.2e-308, 1e-300, 0.5, 3.0, 1e6,
+                 math.inf, -math.inf, math.nan, -5e-324, -1.0, -1e300]
+        for a in edges:
+            for x in edges:
+                try:
+                    want = reg_lower_gamma(np.array(a), np.array(x))
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as info:
+                        reg_lower_gamma(a, x)
+                    assert type(info.value) is type(exc), (a, x)
+                    continue
+                got = reg_lower_gamma(a, x)
+                assert type(got) is float
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (a, x)
+
 
 class TestKummer:
     @pytest.mark.parametrize("a,b,z", [
