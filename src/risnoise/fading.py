@@ -79,9 +79,7 @@ def cdf_X(x, approx: CascadeApprox):
     x = np.asarray(x, dtype=float)
     arg = np.sqrt(np.maximum(x, 0.0)) / approx.zeta
     out = special.gammainc(approx.delta, arg)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def y_gamma_params(n: int, m_nd: float, omega_nd: float) -> tuple[float, float]:
@@ -104,9 +102,7 @@ def pdf_Y(y, n: int, m_nd: float, omega_nd: float):
         out = np.where(y == 0.0, rate, out)
     elif shape < 1.0:
         out = np.where(y == 0.0, np.inf, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def sample_nakagami(rng: np.random.Generator, m: float, omega: float, size=None):

@@ -13,7 +13,8 @@ powers (the outage randomness is fading only), giving per draw
 Work is partitioned into fixed-size batches, each with its own
 counter-derived stream, so the estimate for a given (seed, trials, batch)
 is bit-identical no matter how many workers run the batches.  The batch
-size is therefore part of the seeding contract, not a tuning knob.
+size is therefore part of the seeding contract, not a tuning knob.  McConfig
+holds these settings and, like SystemParams, is checked when it is built.
 
 One running batch holds about batch*n*8 bytes per worker: the transmitter-hop
 amplitudes in full, while the receiver hop streams through blocks of about
@@ -74,12 +75,9 @@ class McConfig:
     batch: int = 250_000
     ci_level: float = 0.95
 
-    def problems(self) -> list[str]:
-        """One line per field that cannot run, naming the field."""
-        return noise.problems(**vars(self))
-
-    def validate(self) -> None:
-        problems = self.problems()
+    def __post_init__(self) -> None:
+        """Refuse a config that cannot run, naming every bad field."""
+        problems = noise.problems(**vars(self))
         if problems:
             raise ConfigError("invalid Monte Carlo config: " + "; ".join(problems))
 
@@ -109,7 +107,6 @@ def draw_realization(params: SystemParams, rng: np.random.Generator,
     the estimators depend on it.  The |g_bn| draws are held in full; the
     |g_nd| draws follow in row blocks, reduced as they come.
     """
-    params.validate()
     k = 1 if size is None else int(size)
     if k < 1:
         raise ValueError(f"size must be positive, got {size!r}")
@@ -254,7 +251,6 @@ def estimate_outages(requests, config: McConfig = McConfig(),
     Each request gets exactly the counts estimate_outage would give it
     alone; requests with the same fading key share each batch's draw.
     """
-    config.validate()
     workers = _worker_count(workers)
     groups: dict[tuple, tuple] = {}
     for i, (params, which) in enumerate(requests):

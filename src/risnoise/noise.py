@@ -3,7 +3,8 @@
 Every noise power in the package flows through this module: the receiver
 AWGN floor k*T*B*NF, the aggregate RIS thermal noise N*alpha*k*T*B, and the
 derived SINR dials (rho, psi, lambda, threshold).  Powers are linear watts
-internally; dB values (dBW) appear only at I/O boundaries.
+internally; dB values (dBW) appear only at I/O boundaries.  SystemParams
+is frozen and checked against RULES when built, so nothing checks it again.
 """
 from __future__ import annotations
 
@@ -165,8 +166,9 @@ def sinr_threshold(rate: float, bw: float) -> float:
 
 # Default geometry/fading values: the reference operating point used by all
 # bundled presets (an RIS 100 m from the transmitter, receiver 2 m from the
-# RIS, Nakagami shape 2 on both hops, 15 Mbit/s over 20 MHz).
-@dataclass
+# RIS, Nakagami shape 2 on both hops, 15 Mbit/s over 20 MHz).  Frozen and
+# checked when built; dataclasses.replace makes a variant and checks it too.
+@dataclass(frozen=True)
 class SystemParams:
     n: int = 10                  # RIS element count
     alpha: float = 0.9           # reflection factor, (0, 1]
@@ -187,16 +189,15 @@ class SystemParams:
     sigma_d2: float | None = None
     sigma_r2: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Check every field against RULES, naming each bad one."""
         # the instance dict holds exactly the fields and reads faster than
         # dataclasses.fields; a None override is derived, but ris_noise has
         # no derived value and None would read as off
-        try:
-            check(**{k: v for k, v in vars(self).items()
-                     if v is not None or k == "ris_noise"})
-        except ValueError as exc:
-            raise ValueError(f"invalid system parameters: {exc}") from None
+        found = _problems({k: v for k, v in vars(self).items()
+                           if v is not None or k == "ris_noise"})
+        if found:
+            raise ValueError("invalid system parameters: " + "; ".join(found))
 
 
 @dataclass(frozen=True)
@@ -216,10 +217,9 @@ def build_noise_budget(params: SystemParams) -> NoiseBudget:
     The RIS noise power entering lambda is the aggregate surface noise
     N*alpha*k*T*B (the noise-table value), not the per-element k*T*B: the
     interference term therefore scales with N, bandwidth, and alpha, which is
-    what the bundled reference outage/throughput results assume.  Set
-    params.ris_noise = False (or sigma_r2 = 0) for the noiseless variant.
+    what the bundled reference outage/throughput results assume.  Build
+    params with ris_noise=False (or sigma_r2=0) for the noiseless variant.
     """
-    params.validate()
     sigma_d2 = params.sigma_d2 if params.sigma_d2 is not None \
         else receiver_noise_power(params.temp, params.bw, params.nf)
     if not params.ris_noise:

@@ -377,10 +377,9 @@ def outage_report(link: LinkModel) -> OutageReport:
         reliability_flag=reliability_flag(lam))
 
 
-ANALYTIC_MODES = ("analytic_lb", "analytic_ub", "asymptotic")
-
 _MODE_EVAL = {"analytic_lb": outage_lb, "analytic_ub": outage_ub,
               "asymptotic": outage_asymptotic}
+ANALYTIC_MODES = tuple(_MODE_EVAL)
 
 
 def evaluate_mode(link: LinkModel, mode: str) -> float:

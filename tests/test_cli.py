@@ -1,5 +1,6 @@
 """Command-line layer: config parsing, CSV contract, self-checks, presets."""
 import csv
+import hashlib
 import math
 import warnings
 
@@ -33,6 +34,19 @@ modes: [analytic_lb, mc_exact, noiseless_variant]
 trials: 1000
 seed: 7
 batch: 400
+"""
+
+
+# every mode with its noiseless twin, over three Monte Carlo batches
+EVERY_MODE_SWEEP = """\
+start: -66.0
+stop: -60.0
+points: 3
+fixed: {n: 5}
+modes: [analytic_lb, analytic_ub, asymptotic, mc_exact, mc_lb, mc_ub, noiseless_variant]
+trials: 4000
+batch: 1500
+seed: 7
 """
 
 
@@ -279,6 +293,16 @@ class TestSweepCsv:
         with open(out, "rb") as a, open(pooled, "rb") as b:
             assert a.read() == b.read()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_mode_sweep_is_pinned(self, tmp_path, workers):
+        # a refactor that moves one byte of any mode's rows fails here
+        out = tmp_path / "every.csv"
+        count = run_sweep(write_config(tmp_path, EVERY_MODE_SWEEP), str(out),
+                          workers=workers)
+        assert count == 36
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "85e6ce52191c3cc14348512f7f3379a0a67d93a6293c74142f3f5f12ad1deba5")
+
     def test_analytic_rows_do_not_depend_on_worker_count(self, tmp_path):
         # mpmath's working precision is process-global, so analytic rows
         # evaluated on pool threads would race on it
@@ -498,6 +522,37 @@ class TestMain:
         text = open(script, encoding="utf-8").read()
         assert out in text
         assert "analytic_lb" in text
+
+    def test_sweep_gnuplot_keeps_the_overrides(self, tmp_path, capsys):
+        # the config alone (10 trials) cannot run; --trials makes it valid
+        config = write_config(tmp_path, SMALL_SWEEP.replace(
+            "trials: 1000", "trials: 10"))
+        out, script = tmp_path / "out.csv", tmp_path / "gp.gp"
+        assert main(["sweep", "--config", config, "--out", str(out),
+                     "--trials", "2000", "--gnuplot", str(script)]) == 0
+        assert out.is_file() and script.is_file()
+        assert "mc_exact_noiseless" in script.read_text(encoding="utf-8")
+
+    # an axis end past its field's rule used to pass the load and fail the
+    # sweep, naming a field the config does not have
+    @pytest.mark.parametrize("axis, ends, key", [
+        ("transmit_power_dBW", "start: -60.0\nstop: 4000", "stop"),
+        ("reflection_factor", "start: 0.5\nstop: 2.0", "stop"),
+        ("ris_receiver_distance_m", "start: -1.0\nstop: 5.0", "start"),
+        ("element_count", "start: 0\nstop: 8", "start"),
+    ])
+    def test_sweep_axis_end_past_its_rule_exits_2(self, tmp_path, capsys,
+                                                  axis, ends, key):
+        config = write_config(tmp_path, f"axis: {axis}\n{ends}\npoints: 5\n")
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["sweep", "--config", config, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"  {key}: " in err
+        assert "Warning" not in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_validate_exit_codes(self, monkeypatch, capsys):
         assert main(["validate", "--level", "fast"]) == 0

@@ -398,19 +398,18 @@ class TestEstimateOutage:
         assert ratio == pytest.approx(math.sqrt(2.0), rel=0.1)
 
     def test_config_rejections(self):
-        params = SystemParams()
-        for cfg in (McConfig(trials=999), McConfig(trials=10_000, batch=0),
-                    McConfig(trials=10_000, seed=-1),
-                    McConfig(trials=10_000, seed=2 ** 64),
-                    McConfig(trials=10_000, ci_level=1.0)):
+        for kwargs in ({"trials": 999}, {"trials": 10_000, "batch": 0},
+                       {"trials": 10_000, "seed": -1},
+                       {"trials": 10_000, "seed": 2 ** 64},
+                       {"trials": 10_000, "ci_level": 1.0}):
             with pytest.raises(ConfigError):
-                estimate_outage(params, cfg)
+                McConfig(**kwargs)
         with pytest.raises(ValueError):
-            estimate_outage(params, McConfig(trials=10_000), which="both")
+            estimate_outage(SystemParams(), McConfig(trials=10_000), which="both")
 
     def test_config_names_every_problem(self):
         with pytest.raises(ConfigError) as err:
-            McConfig(trials=True, seed=False, batch=True, ci_level=1.0).validate()
+            McConfig(trials=True, seed=False, batch=True, ci_level=1.0)
         msg = str(err.value)
         for field in ("trials", "seed", "batch", "ci_level"):
             assert f"{field}:" in msg
@@ -418,7 +417,7 @@ class TestEstimateOutage:
         with pytest.raises(ConfigError, match=re.escape(
                 "trials: integer >= 1000 required (for a confidence interval), "
                 "got 999")):
-            McConfig(trials=999).validate()
+            McConfig(trials=999)
 
 
 class TestEstimateOutages:

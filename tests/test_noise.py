@@ -1,4 +1,9 @@
+import dataclasses
+import importlib
+import inspect
 import math
+import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -224,3 +229,39 @@ class TestBudget:
         for temp in [100.0, 290.0, 400.0, 870.0]:
             assert_allclose(build_noise_budget(SystemParams(temp=temp)).lam,
                             base, rtol=1e-14)
+
+
+class TestSystemParams:
+    def test_is_frozen(self):
+        params = SystemParams()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.n = 20
+
+    def test_bad_fields_are_refused_when_built(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "invalid system parameters: n: positive integer required, "
+                "got 0; alpha: must lie in (0, 1], got 1.5")):
+            SystemParams(n=0, alpha=1.5)
+
+    def test_replace_checks_the_variant(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "invalid system parameters: d_nd: must be positive, got -1.0")):
+            dataclasses.replace(SystemParams(), d_nd=-1.0)
+
+
+def test_every_package_dataclass_is_frozen():
+    # a value checked when it is built stays checked only if it cannot change
+    import risnoise
+
+    found, mutable = [], []
+    for info in pkgutil.iter_modules(risnoise.__path__):
+        if info.name == "__main__":   # importing it runs the command line
+            continue
+        module = importlib.import_module(f"risnoise.{info.name}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls):
+                found.append(name)
+                if not cls.__dataclass_params__.frozen:
+                    mutable.append(name)
+    assert "SystemParams" in found and "McConfig" in found
+    assert mutable == []
