@@ -17,7 +17,7 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields, replace
 from importlib import resources
 
 import numpy as np
@@ -80,6 +80,8 @@ AXIS_FIELDS = {
 TABLE2_TOL_DB = 2.5e-3
 
 _PARAM_FIELDS = {f.name for f in dc_fields(SystemParams)}
+# the noise-power overrides, which None leaves to be derived
+_NONE_DERIVES = {f.name for f in dc_fields(SystemParams) if f.default is None}
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,9 @@ class SweepGrid:
 # libyaml's parser where PyYAML was built with it; the constructor and the
 # resolver are yaml.safe_load's either way
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# YAML 1.1 reads a float only with a dot and a signed exponent, or none
+_TEXT_NUMBER_HINT = (" (YAML reads 1e6 and 1.0e6 as text: write 1.0e+6, "
+                     "or 1000000 for an integer)")
 
 
 def _preset_dir():
@@ -167,7 +172,7 @@ def load_grid(path_or_name: str, *, seed: int | None = None,
         problems.append(f"axis: must be one of {sorted(AXIS_FIELDS)}, got {axis!r}")
 
     start, stop = values["start"], values["stop"]
-    refused = noise.problems(start=start, stop=stop)
+    refused = _rule_problems(start=start, stop=stop)
     # a refused bound says nothing about the order
     if not refused and start >= stop:
         refused.append(f"start must be below stop, got {start!r} >= {stop!r}")
@@ -179,7 +184,7 @@ def load_grid(path_or_name: str, *, seed: int | None = None,
             if axis == "element_count":
                 end = round(end)
             refused += [f"{key}: {p}" for p in noise.problems(**{name: end})]
-    problems += refused + noise.problems(
+    problems += refused + _rule_problems(
         **{key: values[key] for key in ("points", "trials", "seed", "batch",
                                         "ci_level")})
 
@@ -192,12 +197,17 @@ def load_grid(path_or_name: str, *, seed: int | None = None,
         for key in sorted(set(fixed) - allowed, key=str):
             problems.append(f"fixed.{key}: not a system parameter "
                             f"(known: {sorted(allowed)})")
+        if known_axis:
+            # _params_at would overwrite the fixed value with the axis value
+            swept = {"pb", "pb_dbw"} if axis == "transmit_power_dBW" \
+                else {AXIS_FIELDS[axis]}
+            problems += [f"fixed.{key}: the {axis} axis sets it"
+                         for key in sorted(swept & set(fixed))]
         if "pb" in fixed and "pb_dbw" in fixed:
             problems.append("fixed: give pb (watts) or pb_dbw, not both")
-        if "pb_dbw" in fixed:
-            # _params_at converts it to watts with no check of its own
-            problems += ["fixed." + p
-                         for p in noise.problems(pb_dbw=fixed["pb_dbw"])]
+        problems += _rule_problems("fixed.", **{
+            key: v for key, v in fixed.items()
+            if key in allowed and not (v is None and key in _NONE_DERIVES)})
 
     raw_modes = values["modes"]
     if isinstance(raw_modes, str):
@@ -229,8 +239,22 @@ def load_grid(path_or_name: str, *, seed: int | None = None,
     return grid
 
 
-def _params_at(grid: SweepGrid, value: float, quiet: bool = False) -> SystemParams:
-    """Parameters at one grid value; quiet switches the surface noise off."""
+def _rule_problems(prefix: str = "", **values) -> list[str]:
+    """noise.problems of config values, each line under prefix; a number
+    that YAML read as text gets a hint that names the fix."""
+    return [prefix + line + (_TEXT_NUMBER_HINT if _number_text(values[key]) else "")
+            for key in values for line in noise.problems(**{key: values[key]})]
+
+
+def _number_text(value) -> bool:
+    try:
+        return isinstance(value, str) and math.isfinite(float(value))
+    except ValueError:
+        return False
+
+
+def _params_at(grid: SweepGrid, value: float) -> SystemParams:
+    """Parameters at one grid value."""
     over = dict(grid.fixed)
     if "pb_dbw" in over:
         over["pb"] = watts_from_db(over.pop("pb_dbw"))
@@ -241,8 +265,6 @@ def _params_at(grid: SweepGrid, value: float, quiet: bool = False) -> SystemPara
         over[name] = int(round(value))
     else:
         over[name] = float(value)
-    if quiet:
-        over["ris_noise"] = False
     return SystemParams(**over)
 
 
@@ -254,32 +276,29 @@ def _fmt(v) -> str:
     return format(float(v), ".10g")
 
 
-def _variants(grid: SweepGrid) -> list[tuple[str, bool]]:
-    """(mode, quiet) per row of a grid point, in CSV order."""
+def _variants(grid: SweepGrid) -> list[tuple[str, bool, str]]:
+    """(mode, quiet, CSV label) per row of a grid point, in CSV order."""
     base = [m for m in grid.modes if m != "noiseless_variant"]
     quiet = (False, True) if "noiseless_variant" in grid.modes else (False,)
-    return [(m, q) for q in quiet for m in base]
+    return [(m, q, m + ("_noiseless" if q else "")) for q in quiet for m in base]
 
 
-def _point_rows(grid: SweepGrid, value: float, mc: dict) -> list[list[str]]:
-    """CSV rows of one grid point; mc maps (value, mode, quiet) to its estimate."""
-    analytic = any(m in ANALYTIC_MODES for m in grid.modes)
-    rows, cache = [], {}
-    for mode, quiet in _variants(grid):
-        if quiet not in cache:
-            link = build_link_model(_params_at(grid, value, quiet))
-            cache[quiet] = (link, outage_report(link) if analytic else None)
-        link, rep = cache[quiet]
+def _point_rows(grid: SweepGrid, value: float, links: dict, reports: dict,
+                mc: dict) -> list[list[str]]:
+    """CSV rows of one grid point from the links, reports and estimates built for it."""
+    rows = []
+    for mode, quiet, label in _variants(grid):
+        link = links[value, quiet]
         if mode in ANALYTIC_MODES:
+            rep = reports[value, quiet]
             po = {"analytic_lb": rep.outage_lb, "analytic_ub": rep.outage_ub,
                   "asymptotic": rep.outage_asym}[mode]
             ci_lo = ci_hi = None
         else:
-            est = mc[(value, mode, quiet)]
+            est = mc[value, mode, quiet]
             po, ci_lo, ci_hi = est.p_hat, est.ci_lo, est.ci_hi
         lam = link.budget.lam
-        rows.append([_fmt(value), mode + ("_noiseless" if quiet else ""),
-                     _fmt(po), _fmt(ci_lo), _fmt(ci_hi),
+        rows.append([_fmt(value), label, _fmt(po), _fmt(ci_lo), _fmt(ci_hi),
                      _fmt(map_throughput(po, link.params.rate)), _fmt(lam),
                      _fmt(link.approx.delta), _fmt(link.approx.zeta),
                      str(reliability_flag(lam))])
@@ -302,12 +321,19 @@ def run_sweep(config: str, out_path: str, *, seed: int | None = None,
 
 def _write_sweep(grid: SweepGrid, out_path: str, workers: int | None = None) -> int:
     values = np.linspace(grid.start, grid.stop, grid.points)
-    triples = [(v, mode, quiet) for v in values
-               for mode, quiet in _variants(grid) if mode in MC_MODES]
-    requests = [(_params_at(grid, v, quiet), mode.removeprefix("mc_"))
-                for v, mode, quiet in triples]
-    mc = dict(zip(triples, estimate_outages(requests, grid.mc_config, workers)))
-    rows = [row for v in values for row in _point_rows(grid, v, mc)]
+    variants = _variants(grid)
+    # every point's params, links and analytic values are built before the
+    # first Monte Carlo batch, so none of their refusals waits for the draws
+    params = {v: _params_at(grid, v) for v in values}
+    links = {(v, q): build_link_model(replace(p, ris_noise=False) if q else p)
+             for v, p in params.items() for q in {quiet for _, quiet, _ in variants}}
+    reports = {key: outage_report(link) for key, link in links.items()
+               if any(m in ANALYTIC_MODES for m in grid.modes)}
+    requests = {(v, mode, q): (links[v, q].params, mode.removeprefix("mc_"))
+                for v in values for mode, q, _ in variants if mode in MC_MODES}
+    mc = dict(zip(requests, estimate_outages(list(requests.values()),
+                                             grid.mc_config, workers)))
+    rows = [row for v in values for row in _point_rows(grid, v, links, reports, mc)]
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
@@ -523,8 +549,8 @@ def _cmd_sweep(args) -> int:
         return 2
     print(f"wrote {count} rows to {args.out}")
     if args.gnuplot:
-        names = [m + ("_noiseless" if q else "") for m, q in _variants(grid)]
-        write_gnuplot_script(args.out, args.gnuplot, names)
+        write_gnuplot_script(args.out, args.gnuplot,
+                             [label for _, _, label in _variants(grid)])
         print(f"wrote plot script to {args.gnuplot}")
     return 0
 

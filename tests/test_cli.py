@@ -128,6 +128,49 @@ class TestLoadGrid:
         with pytest.raises(ConfigError, match="fixed.bandwidth"):
             load_grid(path)
 
+    # _params_at overwrote a fixed value of the swept field with no word
+    @pytest.mark.parametrize("axis, ends, entry", [
+        ("element_count", "start: 5\nstop: 10", "n: 20"),
+        ("transmit_power_dBW", "start: -70.0\nstop: -60.0", "pb_dbw: -50.0"),
+        ("transmit_power_dBW", "start: -70.0\nstop: -60.0", "pb: 1.0e-6"),
+        ("ris_receiver_distance_m", "start: 2.0\nstop: 8.0", "d_nd: 3.0"),
+        ("reflection_factor", "start: 0.2\nstop: 0.8", "alpha: 0.5"),
+    ])
+    def test_fixed_key_the_axis_sweeps_is_refused(self, tmp_path, capsys, axis,
+                                                  ends, entry):
+        config = write_config(tmp_path, f"axis: {axis}\n{ends}\npoints: 6\n"
+                                        f"fixed: {{{entry}}}\n")
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 2
+        key = entry.split(":")[0]
+        assert f"  fixed.{key}: the {axis} axis sets it" in capsys.readouterr().err
+        assert not out.exists()
+
+    # YAML 1.1 reads 1e6 and 1.0e6 as text; only 1.0e+6 and 1000000 are numbers
+    @pytest.mark.parametrize("text, line", [
+        ("trials: 1e6\n", "trials: finite number required, got '1e6'"),
+        ("fixed: {rate: 1.5e7}\n",
+         "fixed.rate: finite number required, got '1.5e7'"),
+    ])
+    def test_number_read_as_text_names_the_yaml_fix(self, tmp_path, text, line):
+        with pytest.raises(ConfigError) as err:
+            load_grid(write_config(tmp_path, text))
+        [got] = str(err.value).splitlines()[1:]
+        assert got.startswith(f"  {line} (") and "1.0e+6" in got
+        assert "1000000" in got
+
+    def test_numbers_yaml_reads_as_numbers_load(self, tmp_path):
+        # a None noise power is derived, so it passes the load
+        grid = load_grid(write_config(
+            tmp_path, "trials: 1000000\nfixed: {rate: 1.5e+7, sigma_d2: null}\n"))
+        assert grid.trials == 1_000_000
+        assert grid.fixed == {"rate": 1.5e7, "sigma_d2": None}
+
+    def test_text_that_is_no_number_gets_no_hint(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            load_grid(write_config(tmp_path, "trials: many\nseed: nan\n"))
+        assert "YAML" not in str(err.value)
+
     def test_noiseless_variant_cannot_stand_alone(self, tmp_path):
         path = write_config(tmp_path, "modes: [noiseless_variant]\n")
         with pytest.raises(ConfigError, match="cannot be the only one"):
@@ -303,6 +346,27 @@ class TestSweepCsv:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "85e6ce52191c3cc14348512f7f3379a0a67d93a6293c74142f3f5f12ad1deba5")
 
+    def test_each_point_builds_its_params_and_links_once(self, tmp_path,
+                                                         monkeypatch):
+        # one SystemParams and one link per grid value and noise setting:
+        # 3 values x (noisy, noiseless), whatever the 12 rows per value
+        built = {"params": 0, "links": 0}
+        check = noise.SystemParams.__post_init__
+
+        def counted_check(params):
+            built["params"] += 1
+            check(params)
+
+        def counted_link(params):
+            built["links"] += 1
+            return outage.build_link_model(params)
+
+        monkeypatch.setattr(noise.SystemParams, "__post_init__", counted_check)
+        monkeypatch.setattr(cli, "build_link_model", counted_link)
+        run_sweep(write_config(tmp_path, EVERY_MODE_SWEEP),
+                  str(tmp_path / "every.csv"), workers=1)
+        assert built == {"params": 6, "links": 6}
+
     def test_analytic_rows_do_not_depend_on_worker_count(self, tmp_path):
         # mpmath's working precision is process-global, so analytic rows
         # evaluated on pool threads would race on it
@@ -477,12 +541,28 @@ class TestMain:
                                                          capsys):
         # 2**(rate/bw) would overflow; the boundary names the rate instead
         config = write_config(tmp_path, SMALL_SWEEP.replace(
-            "  n: 5\n", "  n: 5\n  rate: 1.0e12\n  bw: 1.0e6\n"))
+            "  n: 5\n", "  n: 5\n  rate: 1.0e+12\n  bw: 1.0e+6\n"))
         rc = main(["sweep", "--config", config, "--out",
                    str(tmp_path / "x.csv")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "rate" in err
+        assert err.startswith("error:") and "rate/bw must be below 1024" in err
+
+    def test_sweep_refused_analytic_row_draws_nothing(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # rate/bw in [1023, 1024): the link is built, the upper bound refused
+        def no_draws(*args, **kwargs):
+            raise AssertionError("Monte Carlo ran before the analytic rows")
+
+        monkeypatch.setattr(cli, "estimate_outages", no_draws)
+        config = write_config(tmp_path, SMALL_SWEEP.replace(
+            "  n: 5\n", "  n: 5\n  rate: 1.0235e+10\n  bw: 1.0e+7\n").replace(
+            "[analytic_lb, mc_exact, noiseless_variant]", "[analytic_ub, mc_exact]"))
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "rate/bw must be below 1023" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("entry, key", [
         # a truthy string switched the surface noise on and exited 0
@@ -490,6 +570,8 @@ class TestMain:
         # these escaped as a TypeError and an OverflowError traceback
         ("pb_dbw: abc", "fixed.pb_dbw"),
         ("pb_dbw: 4000", "fixed.pb_dbw"),
+        # SystemParams skips a None field; it failed deeper, unprefixed
+        ("temp: null", "fixed.temp"),
     ])
     def test_sweep_bad_fixed_value_exits_2(self, tmp_path, capsys, entry,
                                            key):
