@@ -65,8 +65,9 @@ CSV_HEADER = ("axis_value", "mode", "outage", "ci_lo", "ci_hi", "throughput",
 MC_MODES = ("mc_exact", "mc_lb", "mc_ub")
 ALL_MODES = ANALYTIC_MODES + MC_MODES + ("noiseless_variant",)
 
+# the SystemParams field (or pb_dbw, the transmit power in dBW) each axis sets
 AXIS_FIELDS = {
-    "transmit_power_dBW": "pb",
+    "transmit_power_dBW": "pb_dbw",
     "ris_receiver_distance_m": "d_nd",
     "element_count": "n",
     "reflection_factor": "alpha",
@@ -80,8 +81,6 @@ AXIS_FIELDS = {
 TABLE2_TOL_DB = 2.5e-3
 
 _PARAM_FIELDS = {f.name for f in dc_fields(SystemParams)}
-# the noise-power overrides, which None leaves to be derived
-_NONE_DERIVES = {f.name for f in dc_fields(SystemParams) if f.default is None}
 
 
 @dataclass(frozen=True)
@@ -167,8 +166,9 @@ def load_grid(path_or_name: str, *, seed: int | None = None,
             values[key] = override
 
     axis = values["axis"]
-    known_axis = isinstance(axis, str) and axis in AXIS_FIELDS
-    if not known_axis:
+    # the field the axis sets; None for an unknown (or unhashable) axis
+    name = AXIS_FIELDS.get(axis) if isinstance(axis, str) else None
+    if name is None:
         problems.append(f"axis: must be one of {sorted(AXIS_FIELDS)}, got {axis!r}")
 
     start, stop = values["start"], values["stop"]
@@ -176,12 +176,11 @@ def load_grid(path_or_name: str, *, seed: int | None = None,
     # a refused bound says nothing about the order
     if not refused and start >= stop:
         refused.append(f"start must be below stop, got {start!r} >= {stop!r}")
-    if not refused and known_axis:
+    if not refused and name:
         # every rule is an interval and every grid value lies between the
-        # ends, so the ends stand for the whole axis; power runs in dBW
-        name = "pb_dbw" if axis == "transmit_power_dBW" else AXIS_FIELDS[axis]
+        # ends, so the ends stand for the whole axis
         for key, end in (("start", start), ("stop", stop)):
-            if axis == "element_count":
+            if name == "n":
                 end = round(end)
             refused += [f"{key}: {p}" for p in noise.problems(**{name: end})]
     problems += refused + _rule_problems(
@@ -197,17 +196,16 @@ def load_grid(path_or_name: str, *, seed: int | None = None,
         for key in sorted(set(fixed) - allowed, key=str):
             problems.append(f"fixed.{key}: not a system parameter "
                             f"(known: {sorted(allowed)})")
-        if known_axis:
-            # _params_at would overwrite the fixed value with the axis value
-            swept = {"pb", "pb_dbw"} if axis == "transmit_power_dBW" \
-                else {AXIS_FIELDS[axis]}
+        if name:
+            # _params_at would overwrite the fixed value with the axis value;
+            # pb and pb_dbw are one field in two units
+            swept = {"pb", name} if name == "pb_dbw" else {name}
             problems += [f"fixed.{key}: the {axis} axis sets it"
                          for key in sorted(swept & set(fixed))]
         if "pb" in fixed and "pb_dbw" in fixed:
             problems.append("fixed: give pb (watts) or pb_dbw, not both")
         problems += _rule_problems("fixed.", **{
-            key: v for key, v in fixed.items()
-            if key in allowed and not (v is None and key in _NONE_DERIVES)})
+            key: v for key, v in fixed.items() if key in allowed})
 
     raw_modes = values["modes"]
     if isinstance(raw_modes, str):
@@ -227,7 +225,7 @@ def load_grid(path_or_name: str, *, seed: int | None = None,
                       modes=chosen, description=str(values["description"]))
         grid = SweepGrid(**values)
         # last, on a grid that is otherwise sound
-        if axis == "element_count":
+        if name == "n":
             off = [v for v in np.linspace(grid.start, grid.stop, grid.points)
                    if abs(v - round(v)) > 1e-9]
             if off:
@@ -256,15 +254,10 @@ def _number_text(value) -> bool:
 def _params_at(grid: SweepGrid, value: float) -> SystemParams:
     """Parameters at one grid value."""
     over = dict(grid.fixed)
+    name = AXIS_FIELDS[grid.axis]
+    over[name] = int(round(value)) if name == "n" else float(value)
     if "pb_dbw" in over:
         over["pb"] = watts_from_db(over.pop("pb_dbw"))
-    name = AXIS_FIELDS[grid.axis]
-    if grid.axis == "transmit_power_dBW":
-        over[name] = watts_from_db(value)
-    elif grid.axis == "element_count":
-        over[name] = int(round(value))
-    else:
-        over[name] = float(value)
     return SystemParams(**over)
 
 

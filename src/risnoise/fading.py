@@ -19,7 +19,11 @@ from .noise import check
 
 def amplitude_mean_factor(m: float) -> float:
     """E|g| / sqrt(omega/m) = Gamma(m + 1/2) / Gamma(m) for Nakagami-m."""
-    return math.exp(math.lgamma(m + 0.5) - math.lgamma(m))
+    try:
+        return math.exp(math.lgamma(m + 0.5) - math.lgamma(m))
+    except OverflowError:
+        # lgamma passes the double range above m = 2.5e305
+        raise ValueError(f"m: lgamma(m) is past the double range, got {m!r}") from None
 
 
 def cascade_moments(n: int, m_bn: float, m_nd: float,

@@ -64,13 +64,19 @@ RULES = {
     "xi1": _PROBABILITY, "xi2": _PROBABILITY, "outage": _PROBABILITY,
     "target": (_REAL, _ABOVE_0, _BELOW_1, "must lie in (0, 1)"),
     "start": _ANY, "stop": _ANY,
-    "points": (_INT, 2, _MAX, "integer >= 2 required"),
+    # every point's params and links are built before the first row, so a
+    # grid past a million points is a typo, not a sweep
+    "points": (_INT, 2, 1_000_000, "integer in [2, 1000000] required"),
     "trials": (_INT, 1_000, _MAX,
                "integer >= 1000 required (for a confidence interval)"),
     "seed": (_INT, 0, 2 ** 64 - 1, "unsigned 64-bit integer required"),
     "batch": (_INT, 1, _MAX, "positive integer required"),
     "ci_level": (_REAL, _ABOVE_0, _BELOW_1, "must lie in (0, 1)"),
 }
+
+# the noise-power overrides, whose None is derived from the other fields
+# and passes its rule; a None anywhere else is refused
+_NONE_DERIVES = frozenset({"sigma_d2", "sigma_r2"})
 
 
 def _problems(values: dict) -> list[str]:
@@ -79,7 +85,8 @@ def _problems(values: dict) -> list[str]:
         types, lo, hi, rule = RULES[name]
         # a plain float or int in range: the bounds are finite, so NaN and
         # inf fail them too
-        if type(v) in types and lo <= v <= hi:
+        if type(v) in types and lo <= v <= hi \
+                or v is None and name in _NONE_DERIVES:
             continue
         if types is _BOOL:
             out.append(f"{name}: {rule}, got {v!r}")
@@ -126,7 +133,12 @@ def receiver_noise_power(temp: float = T_DEFAULT, bw: float = B_DEFAULT,
     nf is the linear noise figure (>= 1); nf = 1 gives the bare k*T*B floor.
     """
     check(temp=temp, bw=bw, nf=nf)
-    return (BOLTZMANN * temp * bw) * nf
+    power = (BOLTZMANN * temp * bw) * nf
+    if not 0.0 < power <= _MAX:
+        # the noise budget divides by it
+        raise ValueError(f"temp: k*T*B*nf must be a positive double, got "
+                         f"temp={temp!r}, bw={bw!r}, nf={nf!r}")
+    return power
 
 
 def ris_noise_power(n: int, alpha: float, temp: float = T_DEFAULT,
@@ -147,7 +159,16 @@ def path_loss(distance: float, exponent: float, phi_ref: float = 1.0) -> float:
     convention used by the bundled reference results.
     """
     check(distance=distance, exponent=exponent, phi_ref=phi_ref)
-    return phi_ref * distance ** (-exponent)
+    try:
+        # math.pow works in doubles, where an int power of an int would not
+        omega = phi_ref * math.pow(distance, -exponent)
+    except OverflowError:
+        omega = math.inf
+    if not 0.0 < omega <= _MAX:
+        raise ValueError(f"distance: phi_ref / distance**exponent must be a "
+                         f"positive double, got distance={distance!r}, "
+                         f"exponent={exponent!r}, phi_ref={phi_ref!r}")
+    return omega
 
 
 def sinr_threshold(rate: float, bw: float) -> float:
@@ -192,10 +213,8 @@ class SystemParams:
     def __post_init__(self) -> None:
         """Check every field against RULES, naming each bad one."""
         # the instance dict holds exactly the fields and reads faster than
-        # dataclasses.fields; a None override is derived, but ris_noise has
-        # no derived value and None would read as off
-        found = _problems({k: v for k, v in vars(self).items()
-                           if v is not None or k == "ris_noise"})
+        # dataclasses.fields
+        found = _problems(vars(self))
         if found:
             raise ValueError("invalid system parameters: " + "; ".join(found))
 
@@ -230,12 +249,18 @@ def build_noise_budget(params: SystemParams) -> NoiseBudget:
         sigma_r2 = ris_noise_power(params.n, params.alpha, params.temp, params.bw)
     lam = params.alpha * sigma_r2 / sigma_d2
     rho = params.pb / sigma_d2
+    psi = rho * params.alpha
+    if psi == 0.0:
+        # the outage thresholds divide by it
+        raise ValueError(f"pb: the signal scale pb*alpha/sigma_d2 underflows "
+                         f"to 0, got pb={params.pb!r}, alpha={params.alpha!r}, "
+                         f"sigma_d2={sigma_d2!r}")
     return NoiseBudget(
         sigma_d2=sigma_d2,
         sigma_r2=sigma_r2,
         lam=lam,
         rho=rho,
-        psi=rho * params.alpha,
+        psi=psi,
         ups_th=sinr_threshold(params.rate, params.bw),
     )
 

@@ -383,7 +383,7 @@ ANALYTIC_MODES = tuple(_MODE_EVAL)
 
 
 def evaluate_mode(link: LinkModel, mode: str) -> float:
-    """Outage for one analytic mode name (sweep plumbing)."""
+    """Outage for one analytic mode name; power_for_outage calls it, no sweep does."""
     try:
         fn = _MODE_EVAL[mode]
     except KeyError:

@@ -107,7 +107,8 @@ class TestLoadGrid:
     # a value each rule refuses: the message is the rule table's own line
     @pytest.mark.parametrize("key,text,value", [
         ("start", ".nan", math.nan), ("stop", "1" + "0" * 400, 10 ** 400),
-        ("points", "2.5", 2.5), ("trials", "999", 999), ("seed", "-1", -1),
+        ("points", "2.5", 2.5), ("points", "1" + "0" * 18, 10 ** 18),
+        ("trials", "999", 999), ("seed", "-1", -1),
         ("batch", "true", True), ("ci_level", "1", 1)])
     def test_settings_are_refused_by_the_rule_table(self, tmp_path, key, text,
                                                     value):
@@ -583,6 +584,27 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, line", [
+        # distance ** -exponent overflowed in path_loss
+        ("fixed: {tau_bn: -400.0}\n", "distance: phi_ref / distance**exponent"),
+        ("axis: ris_receiver_distance_m\nstart: 1.0e-300\nstop: 1.0\n",
+         "distance: phi_ref / distance**exponent"),
+        # psi = pb*alpha/sigma_d2 underflowed to 0 and xi2 divided by it
+        ("axis: reflection_factor\nstart: 5.0e-324\nstop: 1.0e-300\n"
+         "points: 2\nfixed: {temp: 1.0e+300}\n",
+         "pb: the signal scale pb*alpha/sigma_d2 underflows to 0"),
+        # a grid this long ran out of memory before its first row
+        ("points: 1000000000000000000\n", "points: integer in [2, 1000000]"),
+    ])
+    def test_sweep_value_past_the_double_range_exits_2(self, tmp_path, capsys,
+                                                       text, line):
+        config = write_config(tmp_path, text)
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and line in err
         assert not out.exists()
 
     def test_sweep_bad_worker_variable_exits_2(self, tmp_path, capsys,

@@ -38,6 +38,14 @@ def test_amplitude_mean_factor_closed_forms(m, expect):
     assert_allclose(amplitude_mean_factor(m), expect, rtol=1e-14)
 
 
+def test_amplitude_mean_factor_refuses_a_shape_past_lgamma():
+    # lgamma overflowed with an OverflowError traceback through every sweep
+    with pytest.raises(ValueError, match=r"m: lgamma\(m\) is past the double range"):
+        amplitude_mean_factor(1.7976931348623157e308)
+    with pytest.raises(ValueError, match=r"m: lgamma"):
+        cascade_moments(5, 2.0, 1e306, 1e-6, 0.25)
+
+
 @pytest.mark.parametrize("n,m_bn,m_nd,om_bn,om_nd", [
     (1, 2.0, 2.0, 1.0, 1.0),
     (5, 2.0, 2.0, 10.0 ** -6.4, 0.25),

@@ -53,6 +53,15 @@ def test_receiver_noise_power_scaling():
     assert_allclose(receiver_noise_power(temp=290.0, bw=5e6, nf=1.0), 5e6 * base, rtol=1e-14)
 
 
+def test_receiver_noise_power_refuses_a_power_past_the_double_range():
+    # 0 made the noise budget divide by zero; inf leaves no signal
+    for temp, bw in ((5e-324, 20e6), (1e300, 1e300)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"temp: k*T*B*nf must be a positive double, got temp={temp!r}, "
+                f"bw={bw!r}")):
+            receiver_noise_power(temp, bw)
+
+
 def test_ris_noise_power_linearity_exact():
     unit = ris_noise_power(1, 1.0)
     assert unit == 1.380649e-23 * 290.0 * 20e6
@@ -116,6 +125,20 @@ def test_path_loss():
         path_loss(0.0, 2.0)
     with pytest.raises(ValueError):
         path_loss(2.0, 2.0, phi_ref=0.0)
+
+
+def test_path_loss_refuses_a_result_past_the_double_range():
+    # distance ** -exponent escaped as an OverflowError traceback; an int
+    # power of an int is worked in doubles, not grown without bound
+    for distance, exponent in ((1e-300, 2.0), (100.0, -400.0), (100, -10 ** 300)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"distance: phi_ref / distance**exponent must be a positive "
+                f"double, got distance={distance!r}, exponent={exponent!r}")):
+            path_loss(distance, exponent)
+    # a product past the double range, and a power that underflows to 0
+    for distance, exponent, phi_ref in ((1e-5, 2.0, 1e300), (1e300, 2.0, 1.0)):
+        with pytest.raises(ValueError, match="distance: .*phi_ref="):
+            path_loss(distance, exponent, phi_ref)
 
 
 def test_sinr_threshold_exact_points():
@@ -209,6 +232,14 @@ class TestBudget:
         with pytest.raises(ValueError):
             build_noise_budget(SystemParams(**bad))
 
+    def test_signal_scale_that_underflows_to_0_is_refused(self):
+        # psi = pb*alpha/sigma_d2 == 0 made xi2 divide by zero
+        params = SystemParams(alpha=5e-324, temp=1e300)
+        with pytest.raises(ValueError, match=re.escape(
+                "pb: the signal scale pb*alpha/sigma_d2 underflows to 0, "
+                "got pb=1e-06, alpha=5e-324, sigma_d2=")):
+            build_noise_budget(params)
+
     def test_budget_is_frozen(self):
         bud = build_noise_budget(SystemParams())
         with pytest.raises(AttributeError):
@@ -242,6 +273,19 @@ class TestSystemParams:
                 "invalid system parameters: n: positive integer required, "
                 "got 0; alpha: must lie in (0, 1], got 1.5")):
             SystemParams(n=0, alpha=1.5)
+
+    def test_none_is_derived_for_the_noise_powers_only(self):
+        # a None field passed its check and failed later, unprefixed
+        with pytest.raises(ValueError, match=re.escape(
+                "invalid system parameters: n: finite number required, got "
+                "None; alpha: finite number required, got None; pb: finite "
+                "number required, got None")):
+            SystemParams(n=None, alpha=None, pb=None)
+        derived = build_noise_budget(SystemParams(sigma_d2=None, sigma_r2=None))
+        assert derived == build_noise_budget(SystemParams())
+        assert noise.problems(sigma_d2=None, sigma_r2=None) == []
+        assert noise.problems(sigma2=None) == [
+            "sigma2: finite number required, got None"]
 
     def test_replace_checks_the_variant(self):
         with pytest.raises(ValueError, match=re.escape(

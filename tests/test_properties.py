@@ -1,14 +1,20 @@
-"""Property tests: analytic outputs over random valid scenarios, and the
-parameter boundary over non-finite and out-of-range values."""
+"""Property tests: analytic outputs over random valid scenarios, the
+parameter boundary over non-finite and out-of-range values, and the sweep
+command over random configs."""
 import inspect
 import math
 import re
+import sys
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import yaml
+from hypothesis import example, given, settings, strategies as st
 
+from risnoise.cli import ALL_MODES, AXIS_FIELDS, SweepGrid, main
 from risnoise.fading import (
     cascade_moments,
     gamma_approx,
@@ -145,3 +151,62 @@ XI_FUNCTIONS = (xi1, xi2, xi1_closed, xi1_oracle, xi1_asymptotic, xi2_asymptotic
 def test_threshold_is_refused_by_name(fn, scenario):
     link = build_link_model(params_at(scenario, scenario["pb_dbw"]))
     refused_by_name("ups", lambda bad: fn(link, bad))
+
+
+# Values of every kind a YAML mapping holds.  A size (points, trials,
+# batch, n, or an end of the element_count axis) is drawn small where it is
+# valid: n = 10**6 with Monte Carlo would ask for batch*n*8 bytes, so only
+# sizes the rule table refuses run large.
+_EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, sys.float_info.max,
+                             -sys.float_info.max, math.inf, -math.inf, math.nan])
+_NOT_NUMBERS = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                         st.lists(st.integers(0, 3), max_size=2))
+_HUGE_INTS = st.sampled_from([10 ** 18, 10 ** 400, -10 ** 400])
+_ANY = st.one_of(st.integers(-5, 100), st.floats(), _EXTREMES, _HUGE_INTS,
+                 _NOT_NUMBERS)
+
+
+def _size(cap, *refused):
+    # a valid size is at most cap; the others are refused by the rule table
+    return st.one_of(st.integers(-1, cap), st.sampled_from([10 ** 400, *refused]),
+                     st.floats(), _NOT_NUMBERS)
+
+
+_FIXED_KEYS = sorted([f.name for f in fields(SystemParams)] + ["pb_dbw", "junk"])
+
+
+@st.composite
+def sweep_configs(draw):
+    axis = draw(st.one_of(st.sampled_from(sorted(AXIS_FIELDS)), _ANY))
+    ends = _size(64) if axis == "element_count" else _ANY
+    fixed = draw(st.dictionaries(st.sampled_from(_FIXED_KEYS), _ANY, max_size=3))
+    if "n" in fixed:
+        fixed["n"] = draw(_size(64))
+    pool = {
+        "axis": st.just(axis), "start": ends, "stop": ends,
+        "points": _size(3, 10 ** 18), "trials": _size(2_000),
+        "batch": _size(2_000, 10 ** 18), "fixed": st.one_of(st.just(fixed), _ANY),
+        "modes": st.one_of(st.lists(st.sampled_from(ALL_MODES), max_size=4), _ANY),
+        "seed": _ANY, "ci_level": _ANY, "description": _ANY, "junk": _ANY}
+    assert set(pool) == {*vars(SweepGrid()), "junk"}   # every config key
+    keys = draw(st.sets(st.sampled_from(sorted(pool))))
+    return {key: draw(pool[key]) for key in sorted(keys)}
+
+
+# configs that escaped as tracebacks: an OverflowError in path_loss, a
+# ZeroDivisionError in xi2, a MemoryError building the grid, a
+# ZeroDivisionError in the noise budget and an OverflowError in lgamma
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@example({"fixed": {"tau_bn": -400.0}})
+@example({"axis": "reflection_factor", "start": 5e-324, "stop": 1e-300,
+          "points": 2, "fixed": {"temp": 1e300}, "modes": ["analytic_lb"]})
+@example({"points": 10 ** 18})
+@example({"fixed": {"temp": 5e-324}})
+@example({"fixed": {"m_nd": sys.float_info.max}})
+@given(sweep_configs())
+def test_sweep_exits_0_or_2_on_any_config(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "sweep.yaml")
+        path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        assert main(["sweep", "--config", str(path),
+                     "--out", str(Path(tmp, "out.csv"))]) in (0, 2)
