@@ -26,6 +26,24 @@ def amplitude_mean_factor(m: float) -> float:
         raise ValueError(f"m: lgamma(m) is past the double range, got {m!r}") from None
 
 
+# from this shape on, the lgamma difference in amplitude_mean_factor and
+# the 1 - g^2/(m_bn*m_nd) it feeds cancel (4e-12 relative at 64, 1e-6 at
+# 1e4); the asymptotic series of _log_mean_factor is exact to rounding there
+_LARGE_SHAPE = 64.0
+
+
+def _log_mean_factor(m: float) -> float:
+    """l(m) = log(Gamma(m + 1/2) / Gamma(m)) - log(m)/2.
+
+    From _LARGE_SHAPE on, the asymptotic series -1/(8m) + 1/(192m^3)
+    - 1/(640m^5) + 17/(14336m^7), whose next term is below 1e-16 relative.
+    """
+    if m < _LARGE_SHAPE:
+        return math.lgamma(m + 0.5) - math.lgamma(m) - 0.5 * math.log(m)
+    r = 1.0 / (m * m)
+    return (-1.0 / 8.0 + r * (1.0 / 192.0 + r * (-1.0 / 640.0 + r * 17.0 / 14336.0))) / m
+
+
 def cascade_moments(n: int, m_bn: float, m_nd: float,
                     omega_bn: float, omega_nd: float) -> tuple[float, float]:
     """Mean and variance of the cascade sum D = sum_n |g_bn| |g_nd|.
@@ -35,12 +53,19 @@ def cascade_moments(n: int, m_bn: float, m_nd: float,
       E[|g_bn||g_nd|]   = g * sqrt(omega_bn*omega_nd/(m_bn*m_nd)),
       Var[|g_bn||g_nd|] = omega_bn*omega_nd * (1 - g^2/(m_bn*m_nd)),
     with g = Gamma(m_bn+1/2)Gamma(m_nd+1/2)/(Gamma(m_bn)Gamma(m_nd)).
+    Once a shape reaches _LARGE_SHAPE both are formed from
+    L = log(g/sqrt(m_bn*m_nd)) as n*sqrt(omega_bn*omega_nd)*exp(L) and
+    n*omega_bn*omega_nd*(-expm1(2L)), with no cancellation and no sqrt(m).
     """
     check(n=n, m_bn=m_bn, m_nd=m_nd, omega_bn=omega_bn, omega_nd=omega_nd)
-    g = amplitude_mean_factor(m_bn) * amplitude_mean_factor(m_nd)
-    mu = g * math.sqrt(omega_bn * omega_nd / (m_bn * m_nd)) * n
-    sigma2 = n * omega_bn * omega_nd * (1.0 - g * g / (m_bn * m_nd))
-    return mu, sigma2
+    if max(m_bn, m_nd) < _LARGE_SHAPE:
+        g = amplitude_mean_factor(m_bn) * amplitude_mean_factor(m_nd)
+        mu = g * math.sqrt(omega_bn * omega_nd / (m_bn * m_nd)) * n
+        sigma2 = n * omega_bn * omega_nd * (1.0 - g * g / (m_bn * m_nd))
+        return mu, sigma2
+    log_g = _log_mean_factor(m_bn) + _log_mean_factor(m_nd)
+    return (n * math.sqrt(omega_bn * omega_nd) * math.exp(log_g),
+            n * omega_bn * omega_nd * -math.expm1(2.0 * log_g))
 
 
 @dataclass(frozen=True)
@@ -63,6 +88,9 @@ def gamma_approx(mu: float, sigma2: float) -> CascadeApprox:
     """Match a Gamma(delta, zeta) shape/scale pair to a given mean and variance."""
     check(mu=mu, sigma2=sigma2)
     delta = mu * mu / sigma2
+    if delta == math.inf:
+        raise ValueError(f"mu, sigma2: the shape mu^2/sigma2 is past the double "
+                         f"range, got mu={mu!r}, sigma2={sigma2!r}")
     zeta = sigma2 / mu
     delta_int = max(1, math.floor(delta + 0.5))
     return CascadeApprox(mu=mu, sigma2=sigma2, delta=delta, zeta=zeta,
@@ -89,6 +117,9 @@ def cdf_X(x, approx: CascadeApprox):
 def y_gamma_params(n: int, m_nd: float, omega_nd: float) -> tuple[float, float]:
     """Exact Gamma(shape, rate) parameters of Y = sum_n |g_nd|^2."""
     check(n=n, m_nd=m_nd, omega_nd=omega_nd)
+    if n * m_nd == math.inf:
+        raise ValueError(f"n, m_nd: the shape n*m_nd is past the double range, "
+                         f"got n={n!r}, m_nd={m_nd!r}")
     return n * m_nd, m_nd / omega_nd
 
 

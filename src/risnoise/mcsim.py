@@ -18,8 +18,9 @@ holds these settings and, like SystemParams, is checked when it is built.
 
 One running batch holds about batch*n*8 bytes per worker: the transmitter-hop
 amplitudes in full, while the receiver hop streams through blocks of about
-2**16 amplitudes.  The block size, unlike the batch size, is not part of the
-seeding contract: it changes no drawn bit.
+2**16 amplitudes; estimate_outages refuses a key whose batch would pass
+1 GiB.  The block size, unlike the batch size, is not part of the seeding
+contract: it changes no drawn bit.
 
 estimate_outages groups requests by fading key (the parameters the draws
 depend on); each (fading key, batch index) job draws once and counts every
@@ -244,6 +245,13 @@ def _worker_count(workers: int | None) -> int:
     return count
 
 
+# a running batch holds min(batch, trials)*n transmitter-hop amplitudes of 8
+# bytes per worker; 2**27 of them is 1 GiB, and the default batch of 250,000
+# reaches it at n = 536.  Past it a batch asks for more memory than a
+# worker can count on (200 GB at n = 1e5), so the key is refused instead.
+_MAX_BATCH_AMPLITUDES = 2 ** 27
+
+
 def estimate_outages(requests, config: McConfig = McConfig(),
                      workers: int | None = None) -> list[McEstimate]:
     """One estimate per (params, which) request, in request order.
@@ -252,10 +260,16 @@ def estimate_outages(requests, config: McConfig = McConfig(),
     alone; requests with the same fading key share each batch's draw.
     """
     workers = _worker_count(workers)
+    rows = min(config.batch, config.trials)
     groups: dict[tuple, tuple] = {}
     for i, (params, which) in enumerate(requests):
         if which not in _SELECTORS:
             raise ValueError(f"which must be one of {_SELECTORS}, got {which!r}")
+        if rows * params.n > _MAX_BATCH_AMPLITUDES:
+            raise ConfigError(
+                f"n, batch: a batch of {rows} draws at n = {params.n} holds "
+                f"{rows * params.n} transmitter-hop amplitudes, past the cap of "
+                f"{_MAX_BATCH_AMPLITUDES} (1 GiB); lower batch")
         key = tuple(getattr(params, f) for f in _FADING_FIELDS)
         groups.setdefault(key, (params, []))[1].append(
             (i, build_noise_budget(params), which))

@@ -19,10 +19,12 @@ output (outage_lb, outage_ub, outage_report, power_for_outage) goes through
 it.  Its nodes stop 60 e-folds below the peak weight on the left, where the
 integrand falls with the weight, and 745 on the right, where it need not;
 the left nodes dropped move no result by more than the rounding of the
-shorter sum (under 1e-15 relative).  Two check-only oracles are kept
-beside it: xi1_closed, the paper's closed series (one restricted Meijer-G
-value per term, summed in mpmath), and xi1_oracle, an adaptive quadrature
-of the defining probability.  xi1_closed imports mpmath, xi1_oracle
+shorter sum (under 1e-15 relative).  A point that needs more than 2**21
+nodes (n past about 6e10) is refused, naming n and m_nd.  Two check-only
+oracles are kept beside it: xi1_closed, the paper's closed series (one
+restricted Meijer-G value per term, summed in mpmath under
+specfun.at_slater_precision), and xi1_oracle, an adaptive quadrature of the
+defining probability.  xi1_closed imports mpmath, xi1_oracle
 scipy.integrate (through integrate_semi_infinite) and power_for_outage
 scipy.optimize, each on first call, so evaluating a bound loads none of
 them.
@@ -40,7 +42,7 @@ from .noise import (NoiseBudget, SystemParams, build_noise_budget, check, path_l
                     watts_from_db)
 from .specfun import (
     AccuracyError,
-    _slater_loss_digits,
+    at_slater_precision,
     integrate_semi_infinite,
     meijer_g_2_1_1_2_mpf,
     reg_lower_gamma,
@@ -98,6 +100,11 @@ _LOG_TINY = -745.0
 # left of the peak P only falls, so a node this far below the peak weight
 # adds at most e^-60 of the peak node's own term (see xi1)
 _LOG_TINY_LEFT = -60.0
+# xi1's node count grows like sqrt(n*m_nd + dint/2): 8.2e3 at n = 1e6 and
+# 8.2e5 at n = 1e10 with the default shapes, 8.2e9 (over 60 GB) at 1e18.
+# Each node costs about 64 bytes across xi1's arrays, so this cap (n up to
+# about 6e10 at the default shapes) holds a call near 130 MB.
+_XI1_MAX_NODES = 2 ** 21
 
 
 def xi1(link: LinkModel, ups: float | None = None) -> float:
@@ -144,6 +151,11 @@ def xi1(link: LinkModel, ups: float | None = None) -> float:
     # past these ends the log-weight a*(u - expm1(u)) is below its cut
     u_lo = -1.0 + _LOG_TINY_LEFT / a
     u_hi = math.log(2.0 - 2.0 * _LOG_TINY / a)
+    # (u_hi - u_lo)/h nodes, counted before they are allocated
+    if u_hi - u_lo >= _XI1_MAX_NODES * h:
+        raise ValueError(
+            f"n, m_nd: xi1 needs over {_XI1_MAX_NODES} trapezoid nodes at the "
+            f"Y shape n*m_nd = {a:.6g} and cascade shape {dint:.6g}")
     u = h * np.arange(math.floor(u_lo / h), math.ceil(u_hi / h) + 1)
     log_w = a * (u - np.expm1(u))
     keep = log_w >= np.where(u < 0.0, _LOG_TINY_LEFT, _LOG_TINY)
@@ -159,9 +171,6 @@ def xi1(link: LinkModel, ups: float | None = None) -> float:
     return float(1.0 - np.sum(w * gammaincc(dint, x)) / total)
 
 
-_XI1_MAX_DPS = 2000
-
-
 def xi1_closed(link: LinkModel, ups: float | None = None) -> float:
     """Check route for xi1: the paper's closed series, in mpmath.
 
@@ -173,9 +182,10 @@ def xi1_closed(link: LinkModel, ups: float | None = None) -> float:
 
     with z = lam * ups / (4 * psi * zeta^2 * y_rate).  Each term is a
     positive probability mass, so the sum sits in (0, 1] and the final
-    subtraction is the only cancellation; precision is raised adaptively
-    until the difference is resolved, returning 0.0 once the true value
-    provably sits below the double-precision floor.
+    subtraction is the only cancellation; specfun.at_slater_precision
+    raises the precision until the difference is resolved, and 0.0 is
+    returned once the true value provably sits below the double-precision
+    floor.
     """
     import mpmath as mp
 
@@ -198,46 +208,31 @@ def xi1_closed(link: LinkModel, ups: float | None = None) -> float:
                  for p in range(dint)]
     if logsumexp(log_terms) < math.log(1e-18):
         return 1.0
-    alpha_max = mn + (dint - 1) / 2.0 + 0.5
-    loss = _slater_loss_digits(alpha_max, z)
-    dps = 16 + int(loss) + 12
-    best = math.nan
-    while True:
-        with mp.workdps(dps):
-            zz = mp.mpf(repr(z))
-            c = 2 * mp.sqrt(zz)
-            norm = mp.sqrt(mp.pi) * mp.gamma(mp.mpf(repr(mn)))
-            total = mp.mpf(0)
-            coeff = mp.mpf(1)  # c^p / p!
-            try:
-                for p in range(dint):
-                    if p > 0:
-                        coeff *= c / p
-                    a1 = 1 - mp.mpf(repr(mn)) - mp.mpf(p) / 2
-                    total += coeff * meijer_g_2_1_1_2_mpf(a1, zz) / norm
-            except AccuracyError:
-                # the realized Slater cancellation outran the start (z large
-                # next to the shape, where xi is close to 1): same series at
-                # more digits
-                pass
-            else:
-                xi = 1 - total
-                # every G carries dps - loss good digits; the dint-term sum
-                # of sub-unit positives keeps that, so xi is resolved iff it
-                # clears the accumulated roundoff floor.  Where xi is small
-                # enough for the floor to matter (z below ~20) the estimate
-                # matches the realized cancellation to 0.2 digits.
-                floor = mp.mpf(10) ** (-(dps - loss - 6)) * dint
-                if xi > floor:
-                    return min(max(float(xi), 0.0), 1.0)
-                if dps - loss > 360:
-                    # resolved to be below the double-precision range
-                    return 0.0
-                best = float(xi)
-        if dps >= _XI1_MAX_DPS:
-            raise AccuracyError(
-                f"series for xi1 not resolved at dps={dps}", best_estimate=best)
-        dps = int(dps + max(60, loss * 0.25))
+
+    def series(good: float) -> float:
+        zz = mp.mpf(repr(z))
+        c = 2 * mp.sqrt(zz)
+        shape = mp.mpf(repr(mn))
+        norm = mp.sqrt(mp.pi) * mp.gamma(shape)
+        total = mp.mpf(0)
+        coeff = mp.mpf(1)  # c^p / p!
+        for p in range(dint):
+            total += coeff * meijer_g_2_1_1_2_mpf(1 - shape - mp.mpf(p) / 2, zz) / norm
+            coeff *= c / (p + 1)
+        xi = 1 - total
+        # every G carries `good` digits; the dint-term sum of sub-unit
+        # positives keeps that, so xi is resolved iff it clears the roundoff
+        # floor.  Where the floor matters (z below ~20) the estimate matches
+        # the realized cancellation to 0.2 digits.
+        if xi > mp.mpf(10) ** (-(good - 6)) * dint:
+            return min(max(float(xi), 0.0), 1.0)
+        if good > 360:
+            # resolved to be below the double-precision range
+            return 0.0
+        raise AccuracyError(f"series for xi1 not resolved at dps={mp.mp.dps}",
+                            best_estimate=float(xi))
+
+    return at_slater_precision(mn + (dint - 1) / 2.0 + 0.5, z, series)
 
 
 def xi1_oracle(link: LinkModel, ups: float | None = None, *,

@@ -13,13 +13,17 @@ evaluators are kept side by side on purpose:
     Re s = sigma0.  Any sigma0 in (-alpha, 0) separates the two pole
     families; the route takes the integrand's saddle point there and sums
     the line by the exponentially convergent trapezoid rule in double
-    precision (complex loggamma).  Its dps argument is the number of
-    digits requested, capped at the 16 a double resolves.  It shares nothing
-    with the expansion; it exists to cross-check the primary route and must
-    not be removed in favor of it.
+    precision (complex loggamma; at z = 0, math.gamma).  Its dps argument
+    is the number of digits requested, capped at the 16 a double resolves.
+    It shares nothing with the expansion, mpmath included; it exists to
+    cross-check the primary route and must not be removed in favor of it.
 
-Both raise UnsupportedShapeError outside the parameter region they were
-built for (alpha = 1 - a1 must be positive).
+Both, and the expansion's mpf twin, raise UnsupportedShapeError outside the
+region they were built for (alpha = 1 - a1 > 0, z >= 0; NaN is outside).
+
+at_slater_precision is the one precision loop of the Slater routes, here
+and in outage.xi1_closed.  kummer_1f1_mpf is mpmath.hyp1f1 behind a pole
+check, kept only because perfbench's tracer names it.
 
 The arbitrary-precision kernels (mpmath) and the root finding and
 quadrature routes (scipy.optimize, scipy.integrate) serve only checks; each
@@ -98,31 +102,14 @@ def kummer_1f1(a: float, b: float, z: float) -> float:
 
 
 def kummer_1f1_mpf(a, b, z) -> mp.mpf:
-    """1F1 by the same series in mpmath at the caller's working precision.
-
-    The Slater kernel calls mpmath's own hyp1f1, which is 6-140x faster at
-    the precisions it runs; this series stays as a tested second route, and
-    perfbench's tracer still names it.
-    """
+    """mpmath.hyp1f1 at the caller's precision, behind kummer_1f1's pole
+    refusal.  Nothing in the package calls it; perfbench's tracer names it."""
     import mpmath as mp
 
     b = mp.mpf(b)
     if b <= 0 and b == mp.floor(b):
         raise UnsupportedShapeError(f"1F1 pole: b must not be a nonpositive integer, got {b!r}")
-    a = mp.mpf(a)
-    z = mp.mpf(z)
-    if z < 0:
-        return mp.e ** z * kummer_1f1_mpf(b - a, b, -z)
-    term = mp.mpf(1)
-    total = mp.mpf(1)
-    tol = mp.mpf(10) ** (-(mp.mp.dps + 5))
-    for k in range(_MAX_TERMS):
-        term *= (a + k) * z / ((b + k) * (k + 1))
-        total += term
-        if abs(term) <= tol * abs(total):
-            return total
-    raise AccuracyError(f"1F1({a}, {b}, {z}) did not converge in {_MAX_TERMS} terms",
-                        best_estimate=float(total))
+    return mp.hyp1f1(a, b, z)
 
 
 def meijer_g_1_1_1_2(delta: float, x: float) -> float:
@@ -146,6 +133,39 @@ def _slater_loss_digits(alpha: float, z: float) -> float:
     return 1.7372 * math.sqrt(max(z, 0.0) * (alpha + 0.5))
 
 
+_SLATER_MAX_DPS = 2000
+
+
+def at_slater_precision(alpha: float, z: float, evaluate):
+    """evaluate(good) under the one precision policy of the Slater routes.
+
+    With loss = _slater_loss_digits(alpha, z), start at dps = 16 + loss + 12
+    guard digits, raise dps by a quarter (at least 60) after each
+    AccuracyError, and pass the error on past _SLATER_MAX_DPS.  good = dps -
+    loss is the digits the estimate leaves after the cancellation.
+    """
+    import mpmath as mp
+
+    loss = _slater_loss_digits(alpha, z)
+    dps = 16 + int(loss) + 12
+    while True:
+        try:
+            with mp.workdps(dps):
+                return evaluate(dps - loss)
+        except AccuracyError:
+            if dps > _SLATER_MAX_DPS:
+                raise
+        dps += max(60, dps // 4)
+
+
+def _g_domain(a1, z) -> None:
+    # the domain of all three G^{2,1}_{1,2} kernels; a NaN fails it
+    if not 1 - a1 > 0:
+        raise UnsupportedShapeError(f"need 1 - a1 > 0, got a1={a1!r}")
+    if not z >= 0:
+        raise UnsupportedShapeError(f"argument must be nonnegative, got {z!r}")
+
+
 def meijer_g_2_1_1_2_mpf(a1, z) -> mp.mpf:
     """Slater expansion of G^{2,1}_{1,2}(z | a1; 0, 1/2) at caller precision.
 
@@ -161,12 +181,9 @@ def meijer_g_2_1_1_2_mpf(a1, z) -> mp.mpf:
     """
     import mpmath as mp
 
-    al = 1 - mp.mpf(a1)
-    if al <= 0:
-        raise UnsupportedShapeError(f"need 1 - a1 > 0, got a1={a1!r}")
-    z = mp.mpf(z)
-    if z < 0:
-        raise UnsupportedShapeError(f"argument must be nonnegative, got {z!r}")
+    a1, z = mp.mpf(a1), mp.mpf(z)
+    _g_domain(a1, z)
+    al = 1 - a1
     half = mp.mpf(1) / 2
     t1 = mp.gamma(al) * mp.hyp1f1(al, half, z)
     t2 = 2 * mp.sqrt(z) * mp.gamma(al + half) * mp.hyp1f1(al + half, 3 * half, z)
@@ -179,35 +196,14 @@ def meijer_g_2_1_1_2_mpf(a1, z) -> mp.mpf:
     return g
 
 
-_SLATER_MAX_DPS = 2000
-
-
 def meijer_g_2_1_1_2(a1: float, z: float) -> float:
-    """G^{2,1}_{1,2}(z | a1; 0, 1/2) for 1 - a1 > 0, z >= 0, as a float.
-
-    Runs the Slater expansion 10 guard digits past the sqrt(z*alpha)
-    cancellation estimate and raises the precision until SLATER_GOOD_DIGITS
-    correct digits survive the realized cancellation; AccuracyError once that
-    needs more than _SLATER_MAX_DPS digits.
-    """
-    import mpmath as mp
-
+    """G^{2,1}_{1,2}(z | a1; 0, 1/2) as a float: the Slater expansion under
+    at_slater_precision, so AccuracyError past _SLATER_MAX_DPS digits."""
     # builtin floats so repr() round-trips through the mpf constructor
     a1, z = float(a1), float(z)
-    alpha = 1.0 - a1
-    if alpha <= 0.0:
-        raise UnsupportedShapeError(f"need 1 - a1 > 0, got a1={a1!r}")
-    if z < 0.0:
-        raise UnsupportedShapeError(f"argument must be nonnegative, got {z!r}")
-    dps = 16 + int(_slater_loss_digits(alpha, z)) + 10
-    while True:
-        try:
-            with mp.workdps(dps):
-                return float(meijer_g_2_1_1_2_mpf(repr(a1), repr(z)))
-        except AccuracyError:
-            if dps > _SLATER_MAX_DPS:
-                raise
-        dps += max(60, dps // 4)
+    _g_domain(a1, z)
+    return at_slater_precision(
+        1.0 - a1, z, lambda _: float(meijer_g_2_1_1_2_mpf(repr(a1), repr(z))))
 
 
 def _saddle_abscissa(alpha: float, lnz: float) -> float:
@@ -259,17 +255,14 @@ def meijer_g_2_1_1_2_contour(a1: float, z: float, dps: int | None = None) -> flo
     (the default).  Smaller values shorten the contour for wide scans.
     """
     a1, z = float(a1), float(z)
+    _g_domain(a1, z)
     alpha = 1.0 - a1
-    if alpha <= 0.0:
-        raise UnsupportedShapeError(f"need 1 - a1 > 0, got a1={a1!r}")
-    if z < 0.0:
-        raise UnsupportedShapeError(f"argument must be nonnegative, got {z!r}")
     if z == 0.0:
         # only the Gamma(al) residue at s = 0 survives
-        import mpmath as mp
-
-        with mp.workdps(max(dps or 20, 20)):
-            return float(mp.sqrt(mp.pi) * mp.gamma(alpha))
+        try:
+            return math.sqrt(math.pi) * math.gamma(alpha)
+        except OverflowError:
+            return math.inf
     digits = _DOUBLE_DIGITS if dps is None else min(max(int(dps), 6), _DOUBLE_DIGITS)
     lnz = math.log(z)
     sigma0 = _saddle_abscissa(alpha, lnz)

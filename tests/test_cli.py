@@ -369,8 +369,8 @@ class TestSweepCsv:
         assert built == {"params": 6, "links": 6}
 
     def test_analytic_rows_do_not_depend_on_worker_count(self, tmp_path):
-        # mpmath's working precision is process-global, so analytic rows
-        # evaluated on pool threads would race on it
+        # analytic rows run in double precision and touch no mpmath; the
+        # pool that runs the Monte Carlo batches must not change them
         config = write_config(tmp_path, (
             "start: -72.0\nstop: -58.0\npoints: 8\nfixed: {n: 10}\n"
             "modes: [analytic_lb, analytic_ub]\n"))

@@ -42,8 +42,36 @@ def test_amplitude_mean_factor_refuses_a_shape_past_lgamma():
     # lgamma overflowed with an OverflowError traceback through every sweep
     with pytest.raises(ValueError, match=r"m: lgamma\(m\) is past the double range"):
         amplitude_mean_factor(1.7976931348623157e308)
-    with pytest.raises(ValueError, match=r"m: lgamma"):
-        cascade_moments(5, 2.0, 1e306, 1e-6, 0.25)
+
+
+def mp_large_shape_moments(n, m_bn, m_nd, om_bn, om_nd):
+    # loggamma differences at enough digits to outlast their cancellation
+    with mp.workdps(60 + 2 * int(math.log10(max(m_bn, m_nd)))):
+        log_g = sum(mp.loggamma(mp.mpf(m) + mp.mpf(1) / 2) - mp.loggamma(m) - mp.log(m) / 2
+                    for m in (m_bn, m_nd))
+        return (float(n * mp.sqrt(mp.mpf(om_bn) * om_nd) * mp.exp(log_g)),
+                float(-n * mp.mpf(om_bn) * om_nd * mp.expm1(2 * log_g)))
+
+
+@pytest.mark.parametrize("m", [64.0, 64.5, 100.0, 1e3, 1e4, 1e5, 1e6, 1e8, 1e10, 1e12,
+                               1e306])
+def test_cascade_moments_at_large_shapes(m):
+    # 1 - g^2/(m_bn*m_nd) cancelled to 1e-6 relative at m = 1e4 and 87x at
+    # 1e8, and lgamma refused m = 1e306; the series needs no lgamma
+    for m_bn, m_nd in ((m, m), (m, 2.0), (0.5, m)):
+        got = cascade_moments(10, m_bn, m_nd, 1.0, 0.25)
+        want = mp_large_shape_moments(10, m_bn, m_nd, 1.0, 0.25)
+        assert_allclose(got, want, rtol=1e-14)
+        if m_bn == m_nd:
+            assert_allclose(got, want, rtol=4e-16)
+
+
+def test_shapes_past_the_double_range_are_refused_by_name():
+    big = 1.7976931348623157e308
+    with pytest.raises(ValueError, match=r"^mu, sigma2: the shape mu\^2/sigma2"):
+        cascade_approx(5, big, big, 1e-6, 0.25)
+    with pytest.raises(ValueError, match=r"^n, m_nd: the shape n\*m_nd"):
+        y_gamma_params(10, big, 0.25)
 
 
 @pytest.mark.parametrize("n,m_bn,m_nd,om_bn,om_nd", [

@@ -448,6 +448,20 @@ class TestEstimateOutages:
         assert together[0] != together[1]
 
 
+    def test_refuses_a_batch_past_its_cap_before_any_draw(self, monkeypatch):
+        # 250,000 x 1e5 amplitudes is 200 GB; a short run counts its trials
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew a batch past the cap")
+
+        monkeypatch.setattr(mcsim, "draw_realization", refuse)
+        small = (SystemParams(n=5), "ub")
+        for n, cfg, rows in ((10 ** 5, McConfig(), 250_000),
+                             (200_000, McConfig(trials=1_000), 1_000)):
+            with pytest.raises(ConfigError, match=f"^n, batch: a batch of {rows} "
+                                                  f"draws at n = {n} "):
+                estimate_outages([small, (SystemParams(n=n), "ub")], cfg)
+
+
 class TestPinnedCounts:
     # the smallest Nakagami shape, where draws come nearest to 0, over a
     # power axis with noiseless twins; batches of 17,000 trials span more

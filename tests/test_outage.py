@@ -215,6 +215,12 @@ class TestXi1:
         with pytest.raises(ValueError):
             xi1(link, -1.0)
 
+    def test_refuses_a_node_count_past_its_cap_by_name(self):
+        # 8.2e9 nodes at n = 1e18: a MemoryError before the count was checked
+        with pytest.raises(ValueError, match=r"^n, m_nd: xi1 needs over 2097152 trapezoid"):
+            xi1(link_at(-60.0, n=10 ** 18))
+        assert xi1(link_at(-60.0, n=10 ** 6)) == 0.0   # 8,229 nodes, under the cap
+
     def test_production_path_uses_no_arbitrary_precision(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("arbitrary precision on the production path")

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate, special
 
+from risnoise import specfun
 from risnoise.specfun import (
     AccuracyError,
     UnsupportedShapeError,
@@ -92,13 +97,6 @@ class TestKummer:
                 kummer_1f1(1.0, b, 0.5)
             with pytest.raises(UnsupportedShapeError):
                 kummer_1f1_mpf(1.0, b, 0.5)
-
-    def test_mpf_path_matches_mpmath_at_high_precision(self):
-        with mp.workdps(60):
-            for a, b, z in [(40.0, 0.5, 28.0), (75.5, 1.5, 28.0), (2.0, 3.0, -9.0)]:
-                got = kummer_1f1_mpf(a, b, z)
-                want = mp.hyp1f1(a, b, z)
-                assert abs(got - want) <= abs(want) * mp.mpf(10) ** -55
 
     def test_exponential_special_case(self):
         # 1F1(a; a; z) = e^z
@@ -224,13 +222,33 @@ class TestMeijerG2112:
             meijer_g_2_1_1_2_mpf(-19.0, 250.5)
 
     def test_domain(self):
-        for fn in (meijer_g_2_1_1_2, meijer_g_2_1_1_2_contour):
+        for fn in (meijer_g_2_1_1_2, meijer_g_2_1_1_2_contour, meijer_g_2_1_1_2_mpf):
             with pytest.raises(UnsupportedShapeError):
                 fn(1.0, 0.5)      # alpha = 0
             with pytest.raises(UnsupportedShapeError):
                 fn(2.0, 0.5)      # alpha < 0
             with pytest.raises(UnsupportedShapeError):
                 fn(-3.0, -0.1)    # negative argument
+            with pytest.raises(UnsupportedShapeError, match="a1"):
+                fn(math.nan, 0.5)
+            with pytest.raises(UnsupportedShapeError, match="nonnegative"):
+                fn(-3.0, math.nan)
+
+    def test_contour_z_zero_loads_no_mpmath(self):
+        # the oracle shares nothing with the Slater route, its residue at
+        # z = 0 included
+        code = ("import sys\n"
+                "from risnoise.specfun import meijer_g_2_1_1_2_contour\n"
+                "print(meijer_g_2_1_1_2_contour(-9.0, 0.0), 'mpmath' in sys.modules)\n")
+        env = dict(os.environ)
+        src = str(Path(specfun.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        value, loaded = proc.stdout.split()
+        assert_allclose(float(value), math.sqrt(math.pi) * math.gamma(10.0), rtol=1e-14)
+        assert loaded == "False"
 
 
 class TestIntegrateSemiInfinite:
