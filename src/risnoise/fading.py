@@ -91,6 +91,9 @@ def gamma_approx(mu: float, sigma2: float) -> CascadeApprox:
     if delta == math.inf:
         raise ValueError(f"mu, sigma2: the shape mu^2/sigma2 is past the double "
                          f"range, got mu={mu!r}, sigma2={sigma2!r}")
+    if delta == 0.0:
+        raise ValueError(f"mu, sigma2: the shape mu^2/sigma2 underflows to 0, "
+                         f"got mu={mu!r}, sigma2={sigma2!r}")
     zeta = sigma2 / mu
     delta_int = max(1, math.floor(delta + 0.5))
     return CascadeApprox(mu=mu, sigma2=sigma2, delta=delta, zeta=zeta,

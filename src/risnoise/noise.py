@@ -4,7 +4,10 @@ Every noise power in the package flows through this module: the receiver
 AWGN floor k*T*B*NF, the aggregate RIS thermal noise N*alpha*k*T*B, and the
 derived SINR dials (rho, psi, lambda, threshold).  Powers are linear watts
 internally; dB values (dBW) appear only at I/O boundaries.  SystemParams
-is frozen and checked against RULES when built, so nothing checks it again.
+is frozen and checked against RULES when built.  The public helpers check
+the raw numbers they take, so building one link (outage.build_link_model)
+runs the rule table eight more times on values already checked or derived
+from them.
 """
 from __future__ import annotations
 

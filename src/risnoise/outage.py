@@ -37,10 +37,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammainc, gammaincc, logsumexp
 
-from .fading import CascadeApprox, cascade_approx, cdf_X, pdf_Y, y_gamma_params
+from .fading import (CascadeApprox, cascade_moments, cdf_X, gamma_approx, pdf_Y,
+                     y_gamma_params)
 from .noise import (NoiseBudget, SystemParams, build_noise_budget, check, path_loss,
                     watts_from_db)
 from .specfun import (
+    SLATER_GOOD_DIGITS,
     AccuracyError,
     at_slater_precision,
     integrate_semi_infinite,
@@ -69,7 +71,20 @@ def build_link_model(params: SystemParams) -> LinkModel:
     budget = build_noise_budget(params)
     omega_bn = path_loss(params.d_bn, params.tau_bn, params.phi_ref)
     omega_nd = path_loss(params.d_nd, params.tau_nd, params.phi_ref)
-    approx = cascade_approx(params.n, params.m_bn, params.m_nd, omega_bn, omega_nd)
+    mu, sigma2 = cascade_moments(params.n, params.m_bn, params.m_nd, omega_bn, omega_nd)
+    try:
+        approx = gamma_approx(mu, sigma2)
+    except ValueError as exc:
+        # gamma_approx names its own arguments; name the fields that set
+        # them: small mean hop powers underflow the mean or the shape (and
+        # with huge shapes the variance), n and the shapes overflow the shape
+        if mu * mu == 0.0:
+            names = "d_bn, d_nd, tau_bn, tau_nd, phi_ref"
+        elif sigma2 == 0.0:
+            names = "m_bn, m_nd, d_bn, d_nd, tau_bn, tau_nd, phi_ref"
+        else:
+            names = "n, m_bn, m_nd"
+        raise ValueError(f"{names}: the cascade moments are refused: {exc}") from None
     y_shape, y_rate = y_gamma_params(params.n, params.m_nd, omega_nd)
     return LinkModel(params=params, budget=budget, omega_bn=omega_bn,
                      omega_nd=omega_nd, approx=approx,
@@ -220,11 +235,11 @@ def xi1_closed(link: LinkModel, ups: float | None = None) -> float:
             total += coeff * meijer_g_2_1_1_2_mpf(1 - shape - mp.mpf(p) / 2, zz) / norm
             coeff *= c / (p + 1)
         xi = 1 - total
-        # every G carries `good` digits; the dint-term sum of sub-unit
-        # positives keeps that, so xi is resolved iff it clears the roundoff
-        # floor.  Where the floor matters (z below ~20) the estimate matches
-        # the realized cancellation to 0.2 digits.
-        if xi > mp.mpf(10) ** (-(good - 6)) * dint:
+        # every G carries `good` digits, so the dint-term sum of sub-unit
+        # positives is off by at most dint * 10**-good; xi keeps
+        # SLATER_GOOD_DIGITS once it clears that floor by as many digits,
+        # the rule meijer_g_2_1_1_2_mpf applies to each G
+        if xi > dint * mp.mpf(10) ** (SLATER_GOOD_DIGITS - good):
             return min(max(float(xi), 0.0), 1.0)
         if good > 360:
             # resolved to be below the double-precision range

@@ -22,8 +22,13 @@ Both, and the expansion's mpf twin, raise UnsupportedShapeError outside the
 region they were built for (alpha = 1 - a1 > 0, z >= 0; NaN is outside).
 
 at_slater_precision is the one precision loop of the Slater routes, here
-and in outage.xi1_closed.  kummer_1f1_mpf is mpmath.hyp1f1 behind a pole
-check, kept only because perfbench's tracer names it.
+and in outage.xi1_closed; both accept a result once SLATER_GOOD_DIGITS
+digits survive its cancellation.  kummer_1f1_mpf is mpmath.hyp1f1 behind a
+pole check, kept only because perfbench's tracer names it.
+
+The double-precision kummer_1f1 (scipy.special.hyp1f1) and
+meijer_g_1_1_1_2 (reg_lower_gamma times Gamma(delta)) are library calls
+behind the package's refusals; only checks call them.
 
 The arbitrary-precision kernels (mpmath) and the root finding and
 quadrature routes (scipy.optimize, scipy.integrate) serve only checks; each
@@ -75,30 +80,12 @@ def reg_lower_gamma(a, x):
     return out
 
 
-_MAX_TERMS = 200_000
-
-
 def kummer_1f1(a: float, b: float, z: float) -> float:
-    """Kummer's confluent hypergeometric 1F1(a; b; z) in double precision.
-
-    Plain Taylor series; for z < 0 the Kummer transform
-    1F1(a;b;z) = e^z 1F1(b-a;b;-z) is applied first so the summed series has
-    nonnegative argument.  Terminating cases (a a nonpositive integer) sum
-    exactly.
-    """
+    """Kummer's confluent hypergeometric 1F1(a; b; z) in double precision:
+    scipy.special.hyp1f1 behind the pole refusal."""
     if b <= 0.0 and b == math.floor(b):
         raise UnsupportedShapeError(f"1F1 pole: b must not be a nonpositive integer, got {b!r}")
-    if z < 0.0:
-        return math.exp(z) * kummer_1f1(b - a, b, -z)
-    term = 1.0
-    total = 1.0
-    for k in range(_MAX_TERMS):
-        term *= (a + k) * z / ((b + k) * (k + 1.0))
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            return total
-    raise AccuracyError(f"1F1({a}, {b}, {z}) did not converge in {_MAX_TERMS} terms",
-                        best_estimate=total)
+    return float(special.hyp1f1(a, b, z))
 
 
 def kummer_1f1_mpf(a, b, z) -> mp.mpf:
@@ -114,11 +101,8 @@ def kummer_1f1_mpf(a, b, z) -> mp.mpf:
 
 def meijer_g_1_1_1_2(delta: float, x: float) -> float:
     """G^{1,1}_{1,2}(x | 1; delta, 0) = lower incomplete gamma(delta, x)."""
-    if delta <= 0.0:
-        raise UnsupportedShapeError(f"shape must be positive, got {delta!r}")
-    if x < 0.0:
-        raise ValueError(f"argument must be nonnegative, got {x!r}")
-    return math.exp(math.lgamma(delta)) * special.gammainc(delta, x)
+    # reg_lower_gamma first: its domain check must run before lgamma(delta)
+    return reg_lower_gamma(delta, x) * math.exp(math.lgamma(delta))
 
 
 # correct digits a Slater result must keep after its cancellation

@@ -597,6 +597,18 @@ class TestMain:
          "pb: the signal scale pb*alpha/sigma_d2 underflows to 0"),
         # a grid this long ran out of memory before its first row
         ("points: 1000000000000000000\n", "points: integer in [2, 1000000]"),
+        # the cascade shape overflowed, then its mean underflowed to 0: both
+        # were refused under gamma_approx's argument names mu and sigma2
+        ("fixed: {m_bn: 1.7976931348623157e+308, m_nd: 1.7976931348623157e+308}\n",
+         "error: n, m_bn, m_nd: the cascade moments are refused: mu, sigma2: "),
+        ("fixed: {d_bn: 1.0e+100, d_nd: 1.0e+100}\n",
+         "error: d_bn, d_nd, tau_bn, tau_nd, phi_ref: the cascade moments are "
+         "refused: mu: must be positive"),
+        # mu^2 underflowed: the shape 0 passed, and xi2 refused it unnamed
+        ("fixed: {n: 1, m_bn: 0.5, m_nd: 0.5, d_bn: 3.7e+161, d_nd: 1.0, "
+         "tau_bn: 2.0, tau_nd: 2.0}\n",
+         "error: d_bn, d_nd, tau_bn, tau_nd, phi_ref: the cascade moments are "
+         "refused: mu, sigma2: the shape mu^2/sigma2 underflows to 0"),
     ])
     def test_sweep_value_past_the_double_range_exits_2(self, tmp_path, capsys,
                                                        text, line):
@@ -657,6 +669,17 @@ class TestMain:
         assert err.startswith("error:") and f"  {key}: " in err
         assert "Warning" not in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_validate_full_level_exits_0(self, capsys):
+        assert main(["validate", "--level", "full"]) == 0
+        assert "all checks passed (17/17)" in capsys.readouterr().out
+
+    def test_validate_bad_worker_variable_exits_2(self, capsys, monkeypatch):
+        # the Monte Carlo checks read the variable inside the library
+        monkeypatch.setenv("RISNOISE_WORKERS", "abc")
+        assert main(["validate", "--level", "full"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "RISNOISE_WORKERS" in err
 
     def test_validate_exit_codes(self, monkeypatch, capsys):
         assert main(["validate", "--level", "fast"]) == 0

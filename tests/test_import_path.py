@@ -109,3 +109,26 @@ class TestBenchmarkNames:
         assert {("risnoise.outage", name)
                 for name in ("compose_outage", "xi1_oracle", "xi2")} <= pairs
         assert _missing(pairs) == []
+
+
+PACKAGE = Path(risnoise.__file__).resolve().parent
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module binds by a top-level import and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {(alias.asname or alias.name.split(".")[0]): node.lineno
+                for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in sorted(imported.items())
+            if name not in read]
+
+
+class TestImports:
+    def test_every_top_level_import_is_used(self):
+        # __init__.py imports to re-export; every other module imports to use
+        unused = [entry for path in sorted(PACKAGE.glob("*.py"))
+                  if path.name != "__init__.py" for entry in _unused_imports(path)]
+        assert unused == []

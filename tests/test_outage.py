@@ -150,6 +150,13 @@ class TestXi1Closed:
             # the complement, 7.3e-12 and 5.6e-12, is resolved as well
             assert_allclose(1.0 - got, 1.0 - want, rtol=1e-2)
 
+    def test_tiny_complement_keeps_every_double_digit(self):
+        # xi1 = 2.2e-18 is 1 - total: the sum must clear its roundoff floor
+        # by SLATER_GOOD_DIGITS digits (six were once taken as enough, which
+        # left the series 8.3e-12 off); reference: a 40-digit quadrature
+        link = link_at(-40.0, n=5)
+        assert_allclose(xi1_closed(link), 2.199082131662291e-18, rtol=1e-15)
+
     def test_monotone_in_lambda(self):
         base = SystemParams(pb=10.0 ** -6.5)
         links = [build_link_model(replace(base, sigma_r2=s))
@@ -202,7 +209,8 @@ class TestXi1:
 
     def test_pinned_where_the_series_is_off(self):
         # a 40-digit quadrature of the defining integral gives
-        # 2.19908213166229e-18 here; the series returns 2.1990821316805315e-18
+        # 2.19908213166229e-18 here, where the series resolves a 1 - total
+        # of the same size (TestXi1Closed)
         link = link_at(-40.0, n=5)
         assert_allclose(xi1(link), 2.19908213166229e-18, rtol=1e-12)
 

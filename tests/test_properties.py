@@ -79,6 +79,45 @@ def test_outage_is_a_bracketed_probability_that_falls_with_power(scenario, step_
     assert high.outage_asym <= low.outage_asym
 
 
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+# far past `scenarios`: element counts from 1 to 65536, shapes to 1e4, up
+# to a kilometre on either hop, and 160 dB of transmit power
+analytic_domain = st.fixed_dictionaries({
+    "n": st.sampled_from([1, 2, 3, 7, 40, 256, 4096, 65536]),
+    "m_bn": log_uniform(0.5, 1e4),
+    "m_nd": log_uniform(0.5, 1e4),
+    "d_nd": log_uniform(0.1, 1e3),
+    "d_bn": log_uniform(1.0, 1e3),
+    "alpha": log_uniform(0.01, 1.0),
+    "rate": log_uniform(1e4, 1e9),
+    "pb_dbw": st.floats(-140.0, 20.0),
+})
+
+_NAMED_FIELD = re.compile(
+    rf"\b(?:{'|'.join(f.name for f in fields(SystemParams))})\b[\w, ]*: ")
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(analytic_domain)
+def test_analytic_invariants_hold_over_the_whole_domain(scenario):
+    try:
+        low = report_at(scenario, scenario["pb_dbw"])
+        high = report_at(scenario, scenario["pb_dbw"] + 3.0)
+    except ValueError as exc:
+        assert _NAMED_FIELD.search(str(exc)), str(exc)
+        return
+    for rep in (low, high):
+        assert 0.0 <= rep.outage_lb <= rep.outage_ub <= 1.0
+    assert high.outage_lb <= low.outage_lb
+    if 1e-250 < low.xi1 < 0.5 and scenario["n"] <= 256:
+        link = build_link_model(params_at(scenario, scenario["pb_dbw"]))
+        oracle = xi1_oracle(link, integer_shape=True)
+        assert abs(low.xi1 - oracle) <= 1e-6 * oracle
+
+
 @settings(max_examples=50, database=None, derandomize=True)
 @given(scenarios, st.sampled_from(FLOAT_FIELDS),
        st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400]))

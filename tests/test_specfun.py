@@ -80,7 +80,6 @@ class TestKummer:
     ])
     def test_against_libraries(self, a, b, z):
         got = kummer_1f1(a, b, z)
-        assert_allclose(got, special.hyp1f1(a, b, z), rtol=1e-11)
         with mp.workdps(30):
             want = float(mp.hyp1f1(a, b, z))
         assert_allclose(got, want, rtol=1e-12)
@@ -107,9 +106,9 @@ class TestKummer:
         (0.5, 1.5, 2.0), (3.0, 4.5, 6.0), (17.8, 18.8, 1.5), (2.0, 9.0, 25.0),
     ])
     def test_reflection_identity_against_independent_reference(self, a, b, z):
-        # 1F1(a;b;z) = e^z 1F1(b-a;b;-z); the right side must come from an
-        # outside implementation because the package evaluator itself
-        # rewrites negative arguments through this identity
+        # 1F1(a;b;z) = e^z 1F1(b-a;b;-z); the right side comes from mpmath,
+        # so the identity holds scipy's hyp1f1, which kummer_1f1 wraps, to
+        # an implementation it shares no code with
         lhs = kummer_1f1(a, b, z)
         with mp.workdps(30):
             rhs = math.exp(z) * float(mp.hyp1f1(b - a, b, -z))
