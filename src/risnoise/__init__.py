@@ -32,6 +32,7 @@ from .outage import (
     outage_asymptotic,
     outage_lb,
     outage_report,
+    outage_reports,
     outage_ub,
     power_for_outage,
     throughput,

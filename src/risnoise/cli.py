@@ -45,16 +45,13 @@ from .noise import (
 from .outage import (
     ANALYTIC_MODES,
     build_link_model,
-    outage_asymptotic,
-    outage_lb,
     outage_report,
-    outage_ub,
+    outage_reports,
     reliability_flag,
     throughput as map_throughput,
     xi1,
     xi1_closed,
     xi1_oracle,
-    xi2,
 )
 from . import specfun
 
@@ -317,8 +314,8 @@ def _write_sweep(grid: SweepGrid, out_path: str, workers: int | None = None) -> 
     params = {v: _params_at(grid, v) for v in values}
     links = {(v, q): build_link_model(replace(p, ris_noise=False) if q else p)
              for v, p in params.items() for q in {quiet for _, quiet, _ in variants}}
-    reports = {key: outage_report(link) for key, link in links.items()
-               if any(m in ANALYTIC_MODES for m in grid.modes)}
+    analytic = any(m in ANALYTIC_MODES for m in grid.modes)
+    reports = dict(zip(links, outage_reports(links.values()))) if analytic else {}
     requests = {(v, mode, q): (links[v, q].params, mode.removeprefix("mc_"))
                 for v in values for mode, q, _ in variants if mode in MC_MODES}
     mc = dict(zip(requests, estimate_outages(list(requests.values()),
@@ -421,16 +418,16 @@ def _checks_fast() -> list[tuple[str, bool, str]]:
 
     ok = True
     for pb_dbw in np.linspace(-75.0, -50.0, 10):
-        link = build_link_model(
-            SystemParams(n=5, pb=watts_from_db(pb_dbw), ris_noise=False))
-        if outage_lb(link) != xi2(link):
+        rep = outage_report(build_link_model(
+            SystemParams(n=5, pb=watts_from_db(pb_dbw), ris_noise=False)))
+        if rep.outage_lb != rep.xi2:
             ok = False
     out.append(_check("noiseless-reduction", ok, "outage_lb == xi2, bitwise"))
 
     link_a = build_link_model(SystemParams(n=5, pb=10.0 ** -5.0))
     link_b = build_link_model(SystemParams(n=5, pb=10.0 ** -4.0))
-    slope = math.log10(outage_asymptotic(link_a)) \
-        - math.log10(outage_asymptotic(link_b))
+    slope = math.log10(outage_report(link_a).outage_asym) \
+        - math.log10(outage_report(link_b).outage_asym)
     want = link_a.approx.delta / 2.0
     out.append(_check("asymptote-slope", abs(slope - want) / want < 1e-9,
                       f"slope {slope:.6f} vs delta/2 {want:.6f}"))
@@ -438,8 +435,9 @@ def _checks_fast() -> list[tuple[str, bool, str]]:
     ok = True
     for n in (5, 10):
         for pb_dbw in (-70.0, -63.0):
-            link = build_link_model(SystemParams(n=n, pb=watts_from_db(pb_dbw)))
-            if not outage_lb(link) < outage_ub(link):
+            rep = outage_report(build_link_model(
+                SystemParams(n=n, pb=watts_from_db(pb_dbw))))
+            if not rep.outage_lb < rep.outage_ub:
                 ok = False
     out.append(_check("bound-order", ok, "outage_lb < outage_ub"))
     return out
@@ -470,7 +468,7 @@ def _checks_full() -> list[tuple[str, bool, str]]:
     # 8% headroom still catches any real wiring fault
     quiet = SystemParams(n=5, pb=10.0 ** -6.6, ris_noise=False)
     est = estimate_outage(quiet, McConfig(trials=1_000_000, seed=12))
-    want = xi2(build_link_model(quiet))
+    want = outage_report(build_link_model(quiet)).xi2
     gap = abs(est.p_hat - want) / want
     out.append(_check("mc-noiseless", gap < 0.08,
                       f"mc {est.p_hat:.4e} vs analytic {want:.4e}, rel gap {gap:.3f}"))

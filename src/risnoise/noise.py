@@ -258,6 +258,10 @@ def build_noise_budget(params: SystemParams) -> NoiseBudget:
         raise ValueError(f"pb: the signal scale pb*alpha/sigma_d2 underflows "
                          f"to 0, got pb={params.pb!r}, alpha={params.alpha!r}, "
                          f"sigma_d2={sigma_d2!r}")
+    if psi == math.inf:
+        raise ValueError(f"pb: the signal scale pb*alpha/sigma_d2 is past the "
+                         f"double range, got pb={params.pb!r}, "
+                         f"alpha={params.alpha!r}, sigma_d2={sigma_d2!r}")
     return NoiseBudget(
         sigma_d2=sigma_d2,
         sigma_r2=sigma_r2,

@@ -15,19 +15,27 @@ xi1 is the expectation E_Y[P(dint, c*sqrt(Y))] over the exact Gamma law of
 Y, with P the regularized lower incomplete gamma at the integer-rounded
 cascade shape dint.  The production route xi1 evaluates it in double
 precision by an exponentially convergent trapezoid rule; every analytic
-output (outage_lb, outage_ub, outage_report, power_for_outage) goes through
-it.  Its nodes stop 60 e-folds below the peak weight on the left, where the
-integrand falls with the weight, and 745 on the right, where it need not;
-the left nodes dropped move no result by more than the rounding of the
-shorter sum (under 1e-15 relative).  A point that needs more than 2**21
-nodes (n past about 6e10) is refused, naming n and m_nd.  Two check-only
-oracles are kept beside it: xi1_closed, the paper's closed series (one
-restricted Meijer-G value per term, summed in mpmath under
+output (outage_lb, outage_ub, outage_reports, power_for_outage) goes
+through its kernel.  Its nodes stop 60 e-folds below the peak weight on the
+left, where the integrand falls with the weight, and 745 on the right,
+where it need not; the left nodes dropped move no result by more than the
+rounding of the shorter sum (under 1e-15 relative).  A point that needs
+more than 2**21 nodes (n past about 6e10) is refused, naming n and m_nd.
+Two check-only oracles are kept beside it: xi1_closed, the paper's closed
+series (one restricted Meijer-G value per term, summed in mpmath under
 specfun.at_slater_precision), and xi1_oracle, an adaptive quadrature of the
 defining probability.  xi1_closed imports mpmath, xi1_oracle
 scipy.integrate (through integrate_semi_infinite) and power_for_outage
 scipy.optimize, each on first call, so evaluating a bound loads none of
 them.
+
+A sweep makes one analytic pass: outage_reports takes every link of the
+sweep and evaluates its (link, ups) and (link, 2*ups) pairs together.  The
+xi1 node set depends on a link only through the key (y_shape, delta_int),
+which every point of a power, distance or reflection-factor axis shares,
+so the pairs with one key share one node set and one gammainc call; xi2 is
+one array call over all pairs.  xi1 and outage_report are the one-link
+cases of the same kernels.
 """
 from __future__ import annotations
 
@@ -37,6 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammainc, gammaincc, logsumexp
 
+from . import specfun
 from .fading import (CascadeApprox, cascade_moments, cdf_X, gamma_approx, pdf_Y,
                      y_gamma_params)
 from .noise import (NoiseBudget, SystemParams, build_noise_budget, check, path_loss,
@@ -100,13 +109,31 @@ def _threshold(link: LinkModel, ups: float | None) -> float:
     return ups
 
 
+def _xi2_arg(link: LinkModel, ups: float) -> float:
+    """The argument x of xi2 = P(delta, x) at a threshold ups >= 0."""
+    return math.sqrt(ups / link.budget.psi) / link.approx.zeta
+
+
 def xi2(link: LinkModel, ups: float | None = None) -> float:
     """Noise-limited outage factor P(psi*X < ups)."""
     ups = _threshold(link, ups)
     if ups == 0.0:
         return 0.0
-    arg = math.sqrt(ups / link.budget.psi) / link.approx.zeta
-    return reg_lower_gamma(link.approx.delta, arg)
+    return reg_lower_gamma(link.approx.delta, _xi2_arg(link, ups))
+
+
+def _xi2_values(pairs: list[tuple[LinkModel, float]]) -> list[float]:
+    """xi2 at each (link, threshold) pair, thresholds already checked, in
+    one array call (a threshold of 0 gives P(delta, 0) = 0, as in xi2).
+
+    It calls specfun.reg_lower_gamma, the same ufunc and checks as xi2, not
+    this module's global: the benchmark tracer patches that global, and a
+    call from outside an outage_report span would count its time twice.
+    ROADMAP direction 2 folds this into xi2.
+    """
+    return specfun.reg_lower_gamma(
+        np.array([link.approx.delta for link, _ in pairs]),
+        np.array([_xi2_arg(link, ups) for link, ups in pairs])).tolist()
 
 
 # nodes whose Gamma weight sits this many e-folds below the peak weight
@@ -156,12 +183,12 @@ def xi1(link: LinkModel, ups: float | None = None) -> float:
     like Y^(dint/2), so a node's share of the sum is not bounded by its
     weight alone, and a relative cut on w would not be safe.
     """
-    ups = _threshold(link, ups)
-    lam, psi = link.budget.lam, link.budget.psi
-    if lam == 0.0 or ups == 0.0:
-        return 0.0
-    a = link.y_shape
-    dint = link.approx.delta_int
+    return _xi1_values([(link, _threshold(link, ups))])[0]
+
+
+def _xi1_nodes(a: float, dint: int) -> tuple[np.ndarray, np.ndarray]:
+    """exp(u/2) and the weights w at xi1's trapezoid nodes u for the Y
+    shape a and the cascade shape dint; refuses a node count past the cap."""
     h = min(0.25, 0.4 / math.sqrt(a + dint / 2.0))
     # past these ends the log-weight a*(u - expm1(u)) is below its cut
     u_lo = -1.0 + _LOG_TINY_LEFT / a
@@ -174,16 +201,44 @@ def xi1(link: LinkModel, ups: float | None = None) -> float:
     u = h * np.arange(math.floor(u_lo / h), math.ceil(u_hi / h) + 1)
     log_w = a * (u - np.expm1(u))
     keep = log_w >= np.where(u < 0.0, _LOG_TINY_LEFT, _LOG_TINY)
-    u, w = u[keep], np.exp(log_w[keep])
-    c = math.sqrt(lam * ups / psi) / link.approx.zeta
-    x = c * math.sqrt(a / link.y_rate) * np.exp(0.5 * u)
-    # w*P <= w termwise and both sums add in the same order, so both forms
-    # stay in [0, 1]
-    total = np.sum(w)
-    lower = float(np.sum(w * gammainc(dint, x)) / total)
-    if lower <= 0.5:
-        return lower
-    return float(1.0 - np.sum(w * gammaincc(dint, x)) / total)
+    return np.exp(0.5 * u[keep]), np.exp(log_w[keep])
+
+
+def _xi1_values(pairs: list[tuple[LinkModel, float]]) -> list[float]:
+    """xi1 at each (link, threshold) pair, thresholds already checked.
+
+    The pairs with one node-set key (y_shape, delta_int) share one node set
+    and one gammainc call, and at most one gammaincc call over the rows past
+    0.5; each row sums in the same order as a call on its pair alone.  Node
+    counts are checked before any pair is evaluated, and no array holds
+    more than _XI1_MAX_NODES values.
+    """
+    out = [0.0] * len(pairs)
+    groups: dict[tuple[float, int], list[int]] = {}
+    for i, (link, ups) in enumerate(pairs):
+        if link.budget.lam != 0.0 and ups != 0.0:
+            groups.setdefault((link.y_shape, link.approx.delta_int), []).append(i)
+    nodes = {key: _xi1_nodes(*key) for key in groups}
+    for (a, dint), rows in groups.items():
+        half_u, w = nodes[a, dint]
+        total = np.sum(w)
+        step = max(1, _XI1_MAX_NODES // w.size)
+        for first in range(0, len(rows), step):
+            chunk = rows[first:first + step]
+            # c*sqrt(Y) at the nodes, c = sqrt(lam*ups/psi)/zeta
+            scale = np.array([
+                math.sqrt(link.budget.lam * ups / link.budget.psi) / link.approx.zeta
+                * math.sqrt(a / link.y_rate) for link, ups in (pairs[i] for i in chunk)])
+            x = scale[:, None] * half_u
+            # w*P <= w termwise and both sums add in the same order, so both
+            # forms stay in [0, 1]
+            value = np.sum(w * gammainc(dint, x), axis=1) / total
+            high = ~(value <= 0.5)
+            if high.any():
+                value[high] = 1.0 - np.sum(w * gammaincc(dint, x[high]), axis=1) / total
+            for i, v in zip(chunk, value.tolist()):
+                out[i] = v
+    return out
 
 
 def xi1_closed(link: LinkModel, ups: float | None = None) -> float:
@@ -296,13 +351,19 @@ def outage_lb(link: LinkModel) -> float:
     return compose_outage(xi1(link), xi2(link))
 
 
-def outage_ub(link: LinkModel) -> float:
-    """Upper bound on outage: same form at twice the threshold."""
+def _doubled_threshold(link: LinkModel) -> float:
+    """Twice the link's threshold, where the upper bound is evaluated."""
     ups = 2.0 * link.budget.ups_th
     if ups == math.inf:
         # twice the threshold 2^(rate/bw) - 1 overflows from rate/bw = 1023 on
         raise ValueError(f"rate: rate/bw must be below 1023 for the upper bound, "
                          f"got rate={link.params.rate!r} over bw={link.params.bw!r}")
+    return ups
+
+
+def outage_ub(link: LinkModel) -> float:
+    """Upper bound on outage: same form at twice the threshold."""
+    ups = _doubled_threshold(link)
     return compose_outage(xi1(link, ups), xi2(link, ups))
 
 
@@ -314,6 +375,9 @@ def xi1_asymptotic(link: LinkModel, ups: float | None = None) -> float:
         return 0.0
     d = link.approx.delta
     b = math.sqrt(lam * ups / psi) / link.approx.zeta
+    if b == 0.0:
+        # b underflows, and b^d is 0 with it
+        return 0.0
     log_val = (-(d / 2.0) * math.log(link.y_rate)
                + math.lgamma(link.y_shape + d / 2.0)
                - math.log(d) - math.lgamma(d) - math.lgamma(link.y_shape)
@@ -328,6 +392,8 @@ def xi2_asymptotic(link: LinkModel, ups: float | None = None) -> float:
         return 0.0
     d = link.approx.delta
     b = math.sqrt(ups / link.budget.psi) / link.approx.zeta
+    if b == 0.0:
+        return 0.0
     log_val = -math.log(d) - math.lgamma(d) + d * math.log(b)
     return math.exp(min(log_val, 0.0))
 
@@ -374,17 +440,34 @@ def reliability_flag(lam: float) -> int:
     return int(0.0 < lam < LAMBDA_RELIABILITY_FLOOR)
 
 
+def outage_reports(links) -> list[OutageReport]:
+    """The OutageReport of each link, from one analytic pass over its
+    (link, ups) and (link, 2*ups) pairs (see the module docstring).  A link
+    whose doubled threshold is past the double range refuses the whole call
+    before anything is evaluated."""
+    links = list(links)
+    pairs = [(link, link.budget.ups_th) for link in links] \
+        + [(link, _doubled_threshold(link)) for link in links]
+    x1, x2 = _xi1_values(pairs), _xi2_values(pairs)
+    count = len(links)
+    reports = []
+    for link, x1_lb, x2_lb, x1_ub, x2_ub in zip(links, x1, x2, x1[count:], x2[count:]):
+        po_lb = compose_outage(x1_lb, x2_lb)
+        lam = link.budget.lam
+        reports.append(OutageReport(
+            xi1=x1_lb, xi2=x2_lb, outage_lb=po_lb,
+            outage_ub=compose_outage(x1_ub, x2_ub),
+            outage_asym=outage_asymptotic(link),
+            throughput=throughput(po_lb, link.params.rate),
+            diversity_order=diversity_order(link.approx),
+            lam=lam, delta=link.approx.delta, zeta=link.approx.zeta,
+            reliability_flag=reliability_flag(lam)))
+    return reports
+
+
 def outage_report(link: LinkModel) -> OutageReport:
-    x1, x2 = xi1(link), xi2(link)
-    po_lb = compose_outage(x1, x2)
-    lam = link.budget.lam
-    return OutageReport(
-        xi1=x1, xi2=x2, outage_lb=po_lb, outage_ub=outage_ub(link),
-        outage_asym=outage_asymptotic(link),
-        throughput=throughput(po_lb, link.params.rate),
-        diversity_order=diversity_order(link.approx),
-        lam=lam, delta=link.approx.delta, zeta=link.approx.zeta,
-        reliability_flag=reliability_flag(lam))
+    """Every analytic output for one link: outage_reports on it alone."""
+    return outage_reports([link])[0]
 
 
 _MODE_EVAL = {"analytic_lb": outage_lb, "analytic_ub": outage_ub,

@@ -389,6 +389,8 @@ class TestSweepCsv:
 
         monkeypatch.setattr(outage, "xi1", no_series)
         monkeypatch.setattr(outage, "xi1_closed", no_series)
+        # the sweep's analytic pass reaches the xi1 kernel without either name
+        monkeypatch.setattr(cli, "outage_reports", no_series)
         mc_only = str(tmp_path / "mc_only.csv")
         run_sweep(config, mc_only, modes=("mc_exact", "noiseless_variant"))
         # the link-model columns match the rows of the mixed sweep
@@ -595,6 +597,11 @@ class TestMain:
         ("axis: reflection_factor\nstart: 5.0e-324\nstop: 1.0e-300\n"
          "points: 2\nfixed: {temp: 1.0e+300}\n",
          "pb: the signal scale pb*alpha/sigma_d2 underflows to 0"),
+        # psi overflowed to inf, so xi2's asymptote took the log of 0
+        ("axis: reflection_factor\nstart: 1.0e-300\nstop: 2.0e-300\npoints: 2\n"
+         "modes: [analytic_lb]\nfixed: {n: 1000, m_bn: 1.0e+150, d_bn: 1.0e+30, "
+         "phi_ref: 1.0e-150, pb_dbw: 3000.0, tau_bn: -3.0}\n",
+         "pb: the signal scale pb*alpha/sigma_d2 is past the double range"),
         # a grid this long ran out of memory before its first row
         ("points: 1000000000000000000\n", "points: integer in [2, 1000000]"),
         # the cascade shape overflowed, then its mean underflowed to 0: both
@@ -618,6 +625,17 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and line in err
         assert not out.exists()
+
+    def test_sweep_with_an_asymptote_factor_that_underflows_exits_0(self, tmp_path):
+        # lam*ups underflows to 0 in xi1's asymptote; its log was a bare
+        # "math domain error" that ended every analytic sweep
+        config = write_config(
+            tmp_path, "points: 2\nmodes: [analytic_lb]\nfixed: {n: 2, "
+            "d_nd: 1.0e+30, tau_nd: 0.0, temp: 1.0e-30, rate: 1.0e-150, nf: 1.0e+300}\n")
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        rows = read_rows(str(out))[1:]
+        assert [(r[1], r[2]) for r in rows] == [("analytic_lb", "1")] * 2
 
     def test_sweep_bad_worker_variable_exits_2(self, tmp_path, capsys,
                                                monkeypatch):

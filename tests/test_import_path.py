@@ -2,6 +2,7 @@
 benchmark under perfbench/ looks up."""
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import sys
 from pathlib import Path
 
 import risnoise
-from risnoise.cli import ALL_MODES
+from risnoise.cli import ALL_MODES, run_sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -109,6 +110,33 @@ class TestBenchmarkNames:
         assert {("risnoise.outage", name)
                 for name in ("compose_outage", "xi1_oracle", "xi2")} <= pairs
         assert _missing(pairs) == []
+
+
+class TestTracerAccounting:
+    """The traced layers account for an analytic sweep's whole time, the
+    rule perfbench/selftest.py checks: a traced name called outside an
+    outage_report span would count its time twice.  tracer.py is loaded
+    from its file, as the benchmark's children load it."""
+
+    def test_analytic_sweep_time_is_accounted_once(self, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracer", PERFBENCH / "tracer.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        config = tmp_path / "analytic.yaml"
+        config.write_text(
+            "start: -72.0\nstop: -50.0\npoints: 5\nfixed: {n: 10, d_nd: 2.0}\n"
+            "modes: [analytic_lb, analytic_ub, asymptotic, noiseless_variant]\n",
+            encoding="utf-8")
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            with tracer.span("run_sweep", "cli") as root:
+                run_sweep(str(config), str(tmp_path / "out.csv"), workers=1)
+        finally:
+            tracer.uninstall()
+        metrics = tracing.layer_metrics(tracer.spans, root, 1)
+        assert abs(tracing.accounted_share(metrics, root.duration, 1) - 1.0) < 1e-6
 
 
 PACKAGE = Path(risnoise.__file__).resolve().parent

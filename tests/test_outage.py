@@ -1,6 +1,6 @@
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import mpmath as mp
 import numpy as np
@@ -20,6 +20,7 @@ from risnoise.outage import (
     outage_asymptotic,
     outage_lb,
     outage_report,
+    outage_reports,
     outage_ub,
     power_for_outage,
     throughput,
@@ -416,6 +417,113 @@ class TestOutageReport:
         assert math.isfinite(link.budget.ups_th)
         with pytest.raises(ValueError, match=r"^rate: rate/bw must be below 1023"):
             outage_report(link)
+
+
+def report_bits(rep):
+    return [float(v).hex() for v in astuple(rep)]
+
+
+def one_link_xi1(link, ups):
+    """xi1's trapezoid rule on one link with 1-D arrays: the reference the
+    batched rows must equal bitwise."""
+    a, dint = link.y_shape, link.approx.delta_int
+    h = min(0.25, 0.4 / math.sqrt(a + dint / 2.0))
+    u_lo, u_hi = -1.0 - 60.0 / a, math.log(2.0 + 1490.0 / a)
+    u = h * np.arange(math.floor(u_lo / h), math.ceil(u_hi / h) + 1)
+    log_w = a * (u - np.expm1(u))
+    keep = log_w >= np.where(u < 0.0, -60.0, -745.0)
+    u, w = u[keep], np.exp(log_w[keep])
+    c = math.sqrt(link.budget.lam * ups / link.budget.psi) / link.approx.zeta
+    x = c * math.sqrt(a / link.y_rate) * np.exp(0.5 * u)
+    lower = float(np.sum(w * special.gammainc(dint, x)) / np.sum(w))
+    if lower <= 0.5:
+        return lower
+    return float(1.0 - np.sum(w * special.gammaincc(dint, x)) / np.sum(w))
+
+
+class TestOutageReports:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of the gammainc, gammaincc and reg_lower_gamma calls the
+        pass makes."""
+        count = {"gammainc": 0, "gammaincc": 0, "reg_lower_gamma": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                count[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(outage, "gammainc")
+        counted(outage, "gammaincc")
+        counted(outage.specfun, "reg_lower_gamma")
+        return count
+
+    def test_power_axis_with_noiseless_twins(self, calls):
+        links = [link_at(float(p), n=10, ris_noise=q)
+                 for p in range(-92, -49, 3) for q in (True, False)]
+        reps = outage_reports(links)
+        assert calls == {"gammainc": 1, "gammaincc": 1, "reg_lower_gamma": 1}
+        # the low-power points saturate, so the complement route ran
+        assert reps[0].xi1 == 1.0 and 0.0 < reps[-2].xi1 < 0.5
+        assert all(r.xi1 == 0.0 for r in reps[1::2])
+        for link, rep in zip(links, reps):
+            ups = link.budget.ups_th
+            if link.budget.lam:
+                assert rep.xi1 == one_link_xi1(link, ups)
+                assert rep.outage_ub == compose_outage(
+                    one_link_xi1(link, 2.0 * ups), xi2(link, 2.0 * ups))
+        assert [report_bits(r) for r in reps] == \
+            [report_bits(outage_report(k)) for k in links]
+
+    @pytest.mark.parametrize("field, values", [
+        ("d_nd", [2.0, 3.5, 5.0, 8.0, 15.0]),
+        ("alpha", [0.3, 0.5, 0.7, 0.9]),
+    ])
+    def test_distance_and_alpha_axes_are_one_group(self, calls, field, values):
+        links = [link_at(-64.0, n=20, **{field: v}) for v in values]
+        reps = outage_reports(links)
+        assert calls["gammainc"] == 1 and calls["reg_lower_gamma"] == 1
+        assert [report_bits(r) for r in reps] == \
+            [report_bits(outage_report(k)) for k in links]
+
+    def test_element_count_axis_is_one_group_per_link(self, calls):
+        links = [link_at(-62.0, n=n) for n in range(4, 25, 4)]
+        reps = outage_reports(links)
+        assert calls["gammainc"] == len(links) and calls["reg_lower_gamma"] == 1
+        assert [report_bits(r) for r in reps] == \
+            [report_bits(outage_report(k)) for k in links]
+
+    def test_shuffled_mix_of_two_shapes(self):
+        links = [link_at(float(p), n=n, m_nd=m, ris_noise=q)
+                 for n, m in ((5, 0.5), (16, 2.0)) for p in range(-80, -51, 4)
+                 for q in (True, False)]
+        # and a rate so small that the threshold 2^(rate/bw) - 1 is 0
+        links.append(build_link_model(SystemParams(rate=1e-320)))
+        assert links[-1].budget.ups_th == 0.0
+        order = np.random.default_rng(3).permutation(len(links))
+        links = [links[i] for i in order]
+        assert [report_bits(r) for r in outage_reports(links)] == \
+            [report_bits(outage_report(k)) for k in links]
+
+    def test_a_doubled_threshold_past_the_range_refuses_before_any_evaluation(
+            self, calls):
+        links = [link_at(-64.0, n=10), build_link_model(SystemParams(rate=1023.5 * 20e6)),
+                 link_at(-60.0, n=10)]
+        with pytest.raises(ValueError, match=r"^rate: rate/bw must be below 1023"):
+            outage_reports(links)
+        assert calls == {"gammainc": 0, "gammaincc": 0, "reg_lower_gamma": 0}
+
+    def test_a_link_past_the_node_cap_refuses_before_any_evaluation(self, calls):
+        links = [link_at(-64.0, n=10), link_at(-60.0, n=10 ** 18)]
+        with pytest.raises(ValueError, match=r"^n, m_nd: xi1 needs over 2097152 trapezoid"):
+            outage_reports(links)
+        assert calls == {"gammainc": 0, "gammaincc": 0, "reg_lower_gamma": 0}
+
+    def test_no_links(self):
+        assert outage_reports([]) == []
 
 
 class TestPowerForOutage:
