@@ -15,7 +15,6 @@ from .noise import (
 )
 from .fading import (
     CascadeApprox,
-    cascade_approx,
     cascade_moments,
     cdf_X,
     pdf_Y,

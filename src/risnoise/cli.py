@@ -25,6 +25,7 @@ import yaml
 
 from . import noise
 from .mcsim import (
+    SELECTORS,
     ConfigError,
     McConfig,
     draw_realization,
@@ -58,8 +59,8 @@ from . import specfun
 CSV_HEADER = ("axis_value", "mode", "outage", "ci_lo", "ci_hi", "throughput",
               "lambda", "delta", "zeta", "reliability_flag")
 
-MC_MODES = ("mc_exact", "mc_lb", "mc_ub")
-ALL_MODES = ANALYTIC_MODES + MC_MODES + ("noiseless_variant",)
+MC_MODES = tuple(f"mc_{which}" for which in SELECTORS)
+ALL_MODES = (*ANALYTIC_MODES, *MC_MODES, "noiseless_variant")
 
 # the SystemParams field (or pb_dbw, the transmit power in dBW) each axis sets
 AXIS_FIELDS = {
@@ -141,7 +142,7 @@ def load_grid(path_or_name: str, *, seed: int | None = None,
     with open(path, encoding="utf-8") as fh:
         try:
             raw = yaml.load(fh, Loader=_YAML_LOADER)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
             # the YAML parser reports line/column marks for syntax errors
             raise ConfigError(f"{path}: {exc}") from None
     if raw is None:
@@ -277,9 +278,7 @@ def _point_rows(grid: SweepGrid, value: float, links: dict, reports: dict,
     for mode, quiet, label in _variants(grid):
         link = links[value, quiet]
         if mode in ANALYTIC_MODES:
-            rep = reports[value, quiet]
-            po = {"analytic_lb": rep.outage_lb, "analytic_ub": rep.outage_ub,
-                  "asymptotic": rep.outage_asym}[mode]
+            po = getattr(reports[value, quiet], ANALYTIC_MODES[mode])
             ci_lo = ci_hi = None
         else:
             est = mc[value, mode, quiet]
@@ -314,8 +313,9 @@ def _write_sweep(grid: SweepGrid, out_path: str, workers: int | None = None) -> 
     params = {v: _params_at(grid, v) for v in values}
     links = {(v, q): build_link_model(replace(p, ris_noise=False) if q else p)
              for v, p in params.items() for q in {quiet for _, quiet, _ in variants}}
-    analytic = any(m in ANALYTIC_MODES for m in grid.modes)
-    reports = dict(zip(links, outage_reports(links.values()))) if analytic else {}
+    analytic = tuple(m for m in grid.modes if m in ANALYTIC_MODES)
+    reports = (dict(zip(links, outage_reports(links.values(), analytic)))
+               if analytic else {})
     requests = {(v, mode, q): (links[v, q].params, mode.removeprefix("mc_"))
                 for v in values for mode, q, _ in variants if mode in MC_MODES}
     mc = dict(zip(requests, estimate_outages(list(requests.values()),
@@ -337,8 +337,9 @@ def write_gnuplot_script(csv_path: str, script_path: str, modes) -> None:
         "set ylabel 'outage'",
         "set key outside",
     ]
+    quoted = csv_path.replace("'", "''")  # gnuplot's '' is a quote
     curves = ", \\\n     ".join(
-        f"'{csv_path}' using (strcol(2) eq '{m}' ? $1 : 1/0):3 "
+        f"'{quoted}' using (strcol(2) eq '{m}' ? $1 : 1/0):3 "
         f"with linespoints title '{m}'" for m in modes)
     lines.append("plot " + curves)
     with open(script_path, "w", newline="", encoding="utf-8") as fh:
@@ -584,7 +585,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:  # ConfigError included
+    except (ValueError, OSError) as exc:  # ConfigError; OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

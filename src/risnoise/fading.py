@@ -100,11 +100,6 @@ def gamma_approx(mu: float, sigma2: float) -> CascadeApprox:
                          delta_int=delta_int)
 
 
-def cascade_approx(n: int, m_bn: float, m_nd: float,
-                   omega_bn: float, omega_nd: float) -> CascadeApprox:
-    return gamma_approx(*cascade_moments(n, m_bn, m_nd, omega_bn, omega_nd))
-
-
 def cdf_X(x, approx: CascadeApprox):
     """CDF of the combined signal power X = D^2 under the Gamma approximation.
 

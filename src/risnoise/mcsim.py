@@ -174,7 +174,8 @@ def sinr_bounds(x, y, budget: NoiseBudget):
     return 0.5 * ub, ub
 
 
-_SELECTORS = ("exact", "lb", "ub")
+# the SINR each estimate counts; the sweep's mc_* modes are these
+SELECTORS = ("exact", "lb", "ub")
 
 
 def _batch_sizes(trials: int, batch: int) -> list[int]:
@@ -263,8 +264,8 @@ def estimate_outages(requests, config: McConfig = McConfig(),
     rows = min(config.batch, config.trials)
     groups: dict[tuple, tuple] = {}
     for i, (params, which) in enumerate(requests):
-        if which not in _SELECTORS:
-            raise ValueError(f"which must be one of {_SELECTORS}, got {which!r}")
+        if which not in SELECTORS:
+            raise ValueError(f"which must be one of {SELECTORS}, got {which!r}")
         if rows * params.n > _MAX_BATCH_AMPLITUDES:
             raise ConfigError(
                 f"n, batch: a batch of {rows} draws at n = {params.n} holds "

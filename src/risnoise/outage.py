@@ -29,13 +29,14 @@ scipy.integrate (through integrate_semi_infinite) and power_for_outage
 scipy.optimize, each on first call, so evaluating a bound loads none of
 them.
 
-A sweep makes one analytic pass: outage_reports takes every link of the
-sweep and evaluates its (link, ups) and (link, 2*ups) pairs together.  The
-xi1 node set depends on a link only through the key (y_shape, delta_int),
+A sweep makes one analytic pass: outage_reports takes its links and the
+modes of ANALYTIC_MODES it selects, and forms only the pairs they need,
+(link, ups) for analytic_lb and (link, 2*ups) for analytic_ub.  The xi1
+node set depends on a link only through the key (y_shape, delta_int),
 which every point of a power, distance or reflection-factor axis shares,
 so the pairs with one key share one node set and one gammainc call; xi2 is
-one array call over all pairs.  xi1 and outage_report are the one-link
-cases of the same kernels.
+one array call over all pairs.  outage_lb, outage_ub, evaluate_mode and
+outage_report are one-link calls of it, so the bounds are composed once.
 """
 from __future__ import annotations
 
@@ -348,7 +349,7 @@ def compose_outage(xi1: float, xi2: float) -> float:
 
 def outage_lb(link: LinkModel) -> float:
     """Lower bound on outage: the two-factor form at the plain threshold."""
-    return compose_outage(xi1(link), xi2(link))
+    return evaluate_mode(link, "analytic_lb")
 
 
 def _doubled_threshold(link: LinkModel) -> float:
@@ -363,8 +364,7 @@ def _doubled_threshold(link: LinkModel) -> float:
 
 def outage_ub(link: LinkModel) -> float:
     """Upper bound on outage: same form at twice the threshold."""
-    ups = _doubled_threshold(link)
-    return compose_outage(xi1(link, ups), xi2(link, ups))
+    return evaluate_mode(link, "analytic_ub")
 
 
 def xi1_asymptotic(link: LinkModel, ups: float | None = None) -> float:
@@ -420,14 +420,14 @@ class OutageReport:
 
     xi1 and xi2 are the factors at the plain threshold (the lower-bound
     composition); throughput pairs with outage_lb.  lam, delta, zeta and the
-    reliability flag ride along for result tables.
+    reliability flag ride along.  A mode not asked for leaves its fields None.
     """
-    xi1: float
-    xi2: float
-    outage_lb: float
-    outage_ub: float
-    outage_asym: float
-    throughput: float
+    xi1: float | None
+    xi2: float | None
+    outage_lb: float | None
+    outage_ub: float | None
+    outage_asym: float | None
+    throughput: float | None
     diversity_order: float
     lam: float
     delta: float
@@ -435,33 +435,43 @@ class OutageReport:
     reliability_flag: int
 
 
+# each analytic mode and the OutageReport field that carries it
+ANALYTIC_MODES = {"analytic_lb": "outage_lb", "analytic_ub": "outage_ub",
+                  "asymptotic": "outage_asym"}
+
+
 def reliability_flag(lam: float) -> int:
     """1 where the surface noise is on but too weak for the bracket to matter."""
     return int(0.0 < lam < LAMBDA_RELIABILITY_FLOOR)
 
 
-def outage_reports(links) -> list[OutageReport]:
-    """The OutageReport of each link, from one analytic pass over its
-    (link, ups) and (link, 2*ups) pairs (see the module docstring).  A link
-    whose doubled threshold is past the double range refuses the whole call
-    before anything is evaluated."""
+def outage_reports(links, modes=tuple(ANALYTIC_MODES)) -> list[OutageReport]:
+    """The OutageReport of each link for the analytic modes given, from one
+    pass (see the module docstring): analytic_lb evaluates the pairs
+    (link, ups), analytic_ub the pairs (link, 2*ups), asymptotic none.  A
+    link whose doubled threshold is past the double range refuses an
+    analytic_ub call before anything is evaluated."""
+    unknown = [m for m in modes if m not in ANALYTIC_MODES]
+    if unknown:
+        raise ValueError(f"unknown analytic mode {unknown[0]!r}")
     links = list(links)
-    pairs = [(link, link.budget.ups_th) for link in links] \
-        + [(link, _doubled_threshold(link)) for link in links]
-    x1, x2 = _xi1_values(pairs), _xi2_values(pairs)
-    count = len(links)
+    lb, ub = "analytic_lb" in modes, "analytic_ub" in modes
+    pairs = [(link, link.budget.ups_th) for link in links if lb] \
+        + [(link, _doubled_threshold(link)) for link in links if ub]
+    values = iter(zip(_xi1_values(pairs), _xi2_values(pairs)))
+    # (xi1, xi2) of every link at ups, then the upper bound of every link
+    at_ups = [next(values) if lb else (None, None) for _ in links]
+    po_ub = [compose_outage(*next(values)) if ub else None for _ in links]
     reports = []
-    for link, x1_lb, x2_lb, x1_ub, x2_ub in zip(links, x1, x2, x1[count:], x2[count:]):
-        po_lb = compose_outage(x1_lb, x2_lb)
-        lam = link.budget.lam
+    for link, (x1_lb, x2_lb), ub_value in zip(links, at_ups, po_ub):
+        po_lb = compose_outage(x1_lb, x2_lb) if lb else None
         reports.append(OutageReport(
-            xi1=x1_lb, xi2=x2_lb, outage_lb=po_lb,
-            outage_ub=compose_outage(x1_ub, x2_ub),
-            outage_asym=outage_asymptotic(link),
-            throughput=throughput(po_lb, link.params.rate),
-            diversity_order=diversity_order(link.approx),
-            lam=lam, delta=link.approx.delta, zeta=link.approx.zeta,
-            reliability_flag=reliability_flag(lam)))
+            xi1=x1_lb, xi2=x2_lb, outage_lb=po_lb, outage_ub=ub_value,
+            outage_asym=outage_asymptotic(link) if "asymptotic" in modes else None,
+            throughput=throughput(po_lb, link.params.rate) if lb else None,
+            diversity_order=diversity_order(link.approx), lam=link.budget.lam,
+            delta=link.approx.delta, zeta=link.approx.zeta,
+            reliability_flag=reliability_flag(link.budget.lam)))
     return reports
 
 
@@ -470,18 +480,9 @@ def outage_report(link: LinkModel) -> OutageReport:
     return outage_reports([link])[0]
 
 
-_MODE_EVAL = {"analytic_lb": outage_lb, "analytic_ub": outage_ub,
-              "asymptotic": outage_asymptotic}
-ANALYTIC_MODES = tuple(_MODE_EVAL)
-
-
 def evaluate_mode(link: LinkModel, mode: str) -> float:
-    """Outage for one analytic mode name; power_for_outage calls it, no sweep does."""
-    try:
-        fn = _MODE_EVAL[mode]
-    except KeyError:
-        raise ValueError(f"unknown analytic mode {mode!r}") from None
-    return fn(link)
+    """One link's outage in one analytic mode: outage_reports on it alone."""
+    return getattr(outage_reports([link], (mode,))[0], ANALYTIC_MODES[mode])
 
 
 def power_for_outage(params: SystemParams, target: float,

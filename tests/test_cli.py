@@ -1,8 +1,12 @@
 """Command-line layer: config parsing, CSV contract, self-checks, presets."""
+import ast
 import csv
 import hashlib
+import itertools
 import math
 import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 import yaml
@@ -347,6 +351,23 @@ class TestSweepCsv:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "85e6ce52191c3cc14348512f7f3379a0a67d93a6293c74142f3f5f12ad1deba5")
 
+    @pytest.mark.parametrize("noiseless", [False, True])
+    @pytest.mark.parametrize("modes", [
+        modes for k in range(1, len(outage.ANALYTIC_MODES) + 1)
+        for modes in itertools.combinations(outage.ANALYTIC_MODES, k)])
+    def test_an_analytic_mode_subset_is_the_all_modes_csv_filtered(
+            self, tmp_path, modes, noiseless):
+        config = write_config(tmp_path, "start: -78.0\nstop: -54.0\npoints: 5\n"
+                                        "fixed: {n: 10}\n")
+        twin = ("noiseless_variant",) if noiseless else ()
+        every, subset = tmp_path / "every.csv", tmp_path / "subset.csv"
+        run_sweep(config, str(every), modes=(*outage.ANALYTIC_MODES, *twin))
+        run_sweep(config, str(subset), modes=(*modes, *twin))
+        header, *lines = every.read_bytes().splitlines(keepends=True)
+        want = [line for line in lines
+                if line.split(b",")[1].decode().removesuffix("_noiseless") in modes]
+        assert subset.read_bytes() == b"".join([header, *want])
+
     def test_each_point_builds_its_params_and_links_once(self, tmp_path,
                                                          monkeypatch):
         # one SystemParams and one link per grid value and noise setting:
@@ -406,6 +427,14 @@ class TestSweepCsv:
 
 
 class TestGnuplot:
+    def test_a_quote_in_the_csv_path_is_doubled(self, tmp_path):
+        # gnuplot's single-quoted strings take '' for a quote
+        script = tmp_path / "plot.gp"
+        write_gnuplot_script("it's.csv", str(script), ["analytic_lb"])
+        text = script.read_text(encoding="utf-8")
+        assert "plot 'it''s.csv' using" in text
+        assert "'it's.csv'" not in text
+
     def test_script_filters_by_mode(self, tmp_path):
         script = str(tmp_path / "plot.gp")
         write_gnuplot_script("data.csv", script, ["analytic_lb", "mc_exact"])
@@ -567,6 +596,44 @@ class TestMain:
         assert err.startswith("error:") and "rate/bw must be below 1023" in err
         assert not out.exists()
 
+    def test_sweep_lower_bound_only_at_a_doubled_threshold_past_the_range_exits_0(
+            self, tmp_path):
+        # rate/bw in [1023, 1024): the lower bound needs no doubled threshold
+        config = write_config(tmp_path, SMALL_SWEEP.replace(
+            "  n: 5\n", "  n: 5\n  rate: 1.0235e+10\n  bw: 1.0e+7\n").replace(
+            "[analytic_lb, mc_exact, noiseless_variant]", "[analytic_lb, noiseless_variant]"))
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        assert [r[2] for r in read_rows(str(out))[1:]] == ["1"] * 6
+
+    def test_sweep_config_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", str(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_sweep_config_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        config = tmp_path / "latin1.yaml"
+        config.write_bytes("description: caf\u00e9\n".encode("latin-1"))
+        assert main(["sweep", "--config", str(config), "--out",
+                     str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize("flag", ["--out", "--gnuplot"])
+    def test_sweep_output_in_a_missing_directory_exits_2(self, tmp_path, capsys,
+                                                         flag):
+        paths = {"--out": str(tmp_path / "x.csv"), "--gnuplot": str(tmp_path / "x.gp")}
+        paths[flag] = str(tmp_path / "missing" / "x")
+        config = write_config(tmp_path, SMALL_SWEEP)
+        assert main(["sweep", "--config", config, "--modes", "analytic_lb",
+                     *itertools.chain(*paths.items())]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and paths[flag] in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("entry, key", [
         # a truthy string switched the surface noise on and exited 0
         ("ris_noise: \"no\"", "ris_noise"),
@@ -705,3 +772,32 @@ class TestMain:
         monkeypatch.setattr(noise, "BOLTZMANN", noise.BOLTZMANN * 1.01)
         assert main(["validate", "--level", "fast"]) == 1
         assert "FAIL table2" in capsys.readouterr().out
+
+
+class TestModeTable:
+    """outage.ANALYTIC_MODES is the one table of analytic mode names."""
+
+    def test_every_mode_is_an_analytic_mode_a_monte_carlo_mode_or_the_twin(self):
+        assert cli.ALL_MODES == (*outage.ANALYTIC_MODES, *cli.MC_MODES,
+                                 "noiseless_variant")
+
+    def test_each_analytic_mode_maps_to_its_own_report_field(self):
+        values = list(outage.ANALYTIC_MODES.values())
+        assert len(set(values)) == len(values)
+        assert set(values) <= {f.name for f in fields(outage.OutageReport)}
+
+    def test_monte_carlo_modes_map_one_to_one_onto_the_selectors(self):
+        assert [m.removeprefix("mc_") for m in cli.MC_MODES] == list(mcsim.SELECTORS)
+        assert all(m.startswith("mc_") for m in cli.MC_MODES)
+
+    def test_no_second_dict_is_keyed_by_mode_names(self):
+        # a dispatch dict keyed by mode names anywhere in the package
+        # besides the table itself would restate it
+        keyed = []
+        for path in sorted(Path(risnoise.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Dict) and any(
+                        isinstance(k, ast.Constant) and k.value in ALL_MODES
+                        for k in node.keys):
+                    keyed.append((path.name, node.lineno))
+        assert [name for name, _ in keyed] == ["outage.py"]

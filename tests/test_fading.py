@@ -9,7 +9,6 @@ from scipy import integrate, stats
 from risnoise.fading import (
     CascadeApprox,
     amplitude_mean_factor,
-    cascade_approx,
     cascade_moments,
     cdf_X,
     gamma_approx,
@@ -17,6 +16,11 @@ from risnoise.fading import (
     sample_nakagami,
     y_gamma_params,
 )
+
+
+def cascade_approx(n, m_bn, m_nd, omega_bn, omega_nd):
+    # the Gamma match of the cascade moments, as build_link_model forms it
+    return gamma_approx(*cascade_moments(n, m_bn, m_nd, omega_bn, omega_nd))
 
 
 def mp_cascade_moments(n, m_bn, m_nd, om_bn, om_nd):

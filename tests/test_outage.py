@@ -1,6 +1,7 @@
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import mpmath as mp
 import numpy as np
@@ -11,6 +12,7 @@ from scipy import special
 from risnoise import outage
 from risnoise.noise import SystemParams
 from risnoise.outage import (
+    ANALYTIC_MODES,
     LinkModel,
     OutageReport,
     build_link_model,
@@ -524,6 +526,45 @@ class TestOutageReports:
 
     def test_no_links(self):
         assert outage_reports([]) == []
+
+    # the fields each analytic mode sets; the rest ride along with every mode
+    MODE_FIELDS = {"analytic_lb": {"xi1", "xi2", "outage_lb", "throughput"},
+                   "analytic_ub": {"outage_ub"}, "asymptotic": {"outage_asym"}}
+
+    @pytest.mark.parametrize("modes", [
+        modes for k in range(1, len(ANALYTIC_MODES) + 1)
+        for modes in itertools.combinations(ANALYTIC_MODES, k)])
+    def test_a_mode_subset_gives_the_all_modes_fields_and_none_for_the_rest(
+            self, modes):
+        links = [link_at(float(p), n=n, ris_noise=q) for n in (5, 20)
+                 for p in range(-80, -51, 7) for q in (True, False)]
+        unset = set().union(*(self.MODE_FIELDS[m] for m in ANALYTIC_MODES
+                              if m not in modes))
+        for want, got in zip(outage_reports(links), outage_reports(links, modes)):
+            for f in fields(OutageReport):
+                value = getattr(got, f.name)
+                if f.name in unset:
+                    assert value is None, f.name
+                else:
+                    assert float(value).hex() == float(getattr(want, f.name)).hex()
+
+    def test_each_mode_forms_only_the_pairs_it_needs(self, monkeypatch):
+        formed = []
+
+        def recorded(pairs):
+            formed.append([ups for _, ups in pairs])
+            return xi1_values(pairs)
+
+        xi1_values = outage._xi1_values
+        monkeypatch.setattr(outage, "_xi1_values", recorded)
+        links = [link_at(-64.0, n=10), link_at(-60.0, n=10)]
+        ups = [link.budget.ups_th for link in links]
+        for modes, want in ((("analytic_lb",), ups), (("asymptotic",), []),
+                            (("analytic_ub",), [2.0 * u for u in ups]),
+                            (("analytic_lb", "analytic_ub"), ups + [2.0 * u for u in ups])):
+            formed.clear()
+            outage_reports(links, modes)
+            assert formed == [want], modes
 
 
 class TestPowerForOutage:
