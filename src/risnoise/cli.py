@@ -46,6 +46,7 @@ from .noise import (
 from .outage import (
     ANALYTIC_MODES,
     build_link_model,
+    diversity_order,
     outage_report,
     outage_reports,
     reliability_flag,
@@ -429,7 +430,7 @@ def _checks_fast() -> list[tuple[str, bool, str]]:
     link_b = build_link_model(SystemParams(n=5, pb=10.0 ** -4.0))
     slope = math.log10(outage_report(link_a).outage_asym) \
         - math.log10(outage_report(link_b).outage_asym)
-    want = link_a.approx.delta / 2.0
+    want = diversity_order(link_a.approx)
     out.append(_check("asymptote-slope", abs(slope - want) / want < 1e-9,
                       f"slope {slope:.6f} vs delta/2 {want:.6f}"))
 
@@ -532,6 +533,11 @@ def _cmd_table2(args) -> int:
 def _cmd_sweep(args) -> int:
     modes = tuple(args.modes.split(",")) if args.modes else None
     grid = load_grid(args.config, seed=args.seed, trials=args.trials, modes=modes)
+    # refuse an output path no file can be written to before any work;
+    # open() still reports the rest (permissions, races)
+    for path in filter(None, (args.out, args.gnuplot)):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"{path}: not a file path in an existing directory")
     count = _write_sweep(grid, args.out)
     print(f"wrote {count} rows to {args.out}")
     if args.gnuplot:

@@ -27,21 +27,25 @@ def amplitude_mean_factor(m: float) -> float:
 
 
 # from this shape on, the lgamma difference in amplitude_mean_factor and
-# the 1 - g^2/(m_bn*m_nd) it feeds cancel (4e-12 relative at 64, 1e-6 at
-# 1e4); the asymptotic series of _log_mean_factor is exact to rounding there
-_LARGE_SHAPE = 64.0
+# the 1 - g^2/(m_bn*m_nd) it feeds cancel (1e-12 relative at 16, 4e-12 at
+# 64, 1e-6 at 1e4); the asymptotic series of _log_mean_factor is exact to
+# rounding there (6e-17 relative at 16, but 3e-16 at 12)
+_LARGE_SHAPE = 16.0
 
 
 def _log_mean_factor(m: float) -> float:
     """l(m) = log(Gamma(m + 1/2) / Gamma(m)) - log(m)/2.
 
     From _LARGE_SHAPE on, the asymptotic series -1/(8m) + 1/(192m^3)
-    - 1/(640m^5) + 17/(14336m^7), whose next term is below 1e-16 relative.
+    - 1/(640m^5) + 17/(14336m^7) - 31/(18432m^9) + 691/(180224m^11)
+    - 5461/(425984m^13), whose next term is below 1e-16 relative there.
     """
     if m < _LARGE_SHAPE:
         return math.lgamma(m + 0.5) - math.lgamma(m) - 0.5 * math.log(m)
     r = 1.0 / (m * m)
-    return (-1.0 / 8.0 + r * (1.0 / 192.0 + r * (-1.0 / 640.0 + r * 17.0 / 14336.0))) / m
+    return (-1.0 / 8.0 + r * (1.0 / 192.0 + r * (-1.0 / 640.0 + r * (
+        17.0 / 14336.0 + r * (-31.0 / 18432.0 + r * (
+            691.0 / 180224.0 + r * -5461.0 / 425984.0)))))) / m
 
 
 def cascade_moments(n: int, m_bn: float, m_nd: float,

@@ -48,6 +48,7 @@ from scipy import special
 from . import noise
 from .noise import NoiseBudget, SystemParams, build_noise_budget, path_loss
 from .fading import sample_nakagami
+from .outage import throughput
 
 WORKERS_ENV = "RISNOISE_WORKERS"
 
@@ -302,7 +303,7 @@ def estimate_throughput(params: SystemParams, config: McConfig = McConfig(),
                         workers: int | None = None) -> ThroughputEstimate:
     """Effective rate (1 - outage(exact)) * R with the interval mapped through."""
     est = estimate_outage(params, config, which="exact", workers=workers)
-    return ThroughputEstimate(value=(1.0 - est.p_hat) * params.rate,
-                              ci_lo=(1.0 - est.ci_hi) * params.rate,
-                              ci_hi=(1.0 - est.ci_lo) * params.rate,
+    return ThroughputEstimate(value=throughput(est.p_hat, params.rate),
+                              ci_lo=throughput(est.ci_hi, params.rate),
+                              ci_hi=throughput(est.ci_lo, params.rate),
                               trials_used=est.trials_used)

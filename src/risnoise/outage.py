@@ -110,6 +110,11 @@ def _threshold(link: LinkModel, ups: float | None) -> float:
     return ups
 
 
+def _xi1_arg(link: LinkModel, ups: float) -> float:
+    """The scale c = sqrt(lam*ups/psi)/zeta of xi1 = E_Y[P(dint, c*sqrt(Y))]."""
+    return math.sqrt(link.budget.lam * ups / link.budget.psi) / link.approx.zeta
+
+
 def _xi2_arg(link: LinkModel, ups: float) -> float:
     """The argument x of xi2 = P(delta, x) at a threshold ups >= 0."""
     return math.sqrt(ups / link.budget.psi) / link.approx.zeta
@@ -117,15 +122,13 @@ def _xi2_arg(link: LinkModel, ups: float) -> float:
 
 def xi2(link: LinkModel, ups: float | None = None) -> float:
     """Noise-limited outage factor P(psi*X < ups)."""
-    ups = _threshold(link, ups)
-    if ups == 0.0:
-        return 0.0
-    return reg_lower_gamma(link.approx.delta, _xi2_arg(link, ups))
+    # a threshold of 0 gives P(delta, 0) = 0
+    return reg_lower_gamma(link.approx.delta, _xi2_arg(link, _threshold(link, ups)))
 
 
 def _xi2_values(pairs: list[tuple[LinkModel, float]]) -> list[float]:
     """xi2 at each (link, threshold) pair, thresholds already checked, in
-    one array call (a threshold of 0 gives P(delta, 0) = 0, as in xi2).
+    one array call.
 
     It calls specfun.reg_lower_gamma, the same ufunc and checks as xi2, not
     this module's global: the benchmark tracer patches that global, and a
@@ -226,10 +229,9 @@ def _xi1_values(pairs: list[tuple[LinkModel, float]]) -> list[float]:
         step = max(1, _XI1_MAX_NODES // w.size)
         for first in range(0, len(rows), step):
             chunk = rows[first:first + step]
-            # c*sqrt(Y) at the nodes, c = sqrt(lam*ups/psi)/zeta
-            scale = np.array([
-                math.sqrt(link.budget.lam * ups / link.budget.psi) / link.approx.zeta
-                * math.sqrt(a / link.y_rate) for link, ups in (pairs[i] for i in chunk)])
+            # c*sqrt(Y) at the nodes
+            scale = np.array([_xi1_arg(link, ups) * math.sqrt(a / link.y_rate)
+                              for link, ups in (pairs[i] for i in chunk)])
             x = scale[:, None] * half_u
             # w*P <= w termwise and both sums add in the same order, so both
             # forms stay in [0, 1]
@@ -370,13 +372,10 @@ def outage_ub(link: LinkModel) -> float:
 def xi1_asymptotic(link: LinkModel, ups: float | None = None) -> float:
     """High-power limit of xi1 (real shape), evaluated in log space."""
     ups = _threshold(link, ups)
-    lam, psi = link.budget.lam, link.budget.psi
-    if lam == 0.0 or ups == 0.0:
-        return 0.0
     d = link.approx.delta
-    b = math.sqrt(lam * ups / psi) / link.approx.zeta
+    b = _xi1_arg(link, ups)
     if b == 0.0:
-        # b underflows, and b^d is 0 with it
+        # lam or ups is 0, or b underflows: b^d is 0
         return 0.0
     log_val = (-(d / 2.0) * math.log(link.y_rate)
                + math.lgamma(link.y_shape + d / 2.0)
@@ -388,10 +387,8 @@ def xi1_asymptotic(link: LinkModel, ups: float | None = None) -> float:
 def xi2_asymptotic(link: LinkModel, ups: float | None = None) -> float:
     """High-power limit of xi2 (real shape), evaluated in log space."""
     ups = _threshold(link, ups)
-    if ups == 0.0:
-        return 0.0
     d = link.approx.delta
-    b = math.sqrt(ups / link.budget.psi) / link.approx.zeta
+    b = _xi2_arg(link, ups)
     if b == 0.0:
         return 0.0
     log_val = -math.log(d) - math.lgamma(d) + d * math.log(b)
@@ -419,8 +416,9 @@ class OutageReport:
     """Every analytic output for one operating point.
 
     xi1 and xi2 are the factors at the plain threshold (the lower-bound
-    composition); throughput pairs with outage_lb.  lam, delta, zeta and the
-    reliability flag ride along.  A mode not asked for leaves its fields None.
+    composition); throughput pairs with outage_lb.  The reliability flag
+    rides along with every mode; the link's own quantities (lam, delta,
+    zeta) stay on the link.  A mode not asked for leaves its fields None.
     """
     xi1: float | None
     xi2: float | None
@@ -428,10 +426,6 @@ class OutageReport:
     outage_ub: float | None
     outage_asym: float | None
     throughput: float | None
-    diversity_order: float
-    lam: float
-    delta: float
-    zeta: float
     reliability_flag: int
 
 
@@ -469,8 +463,6 @@ def outage_reports(links, modes=tuple(ANALYTIC_MODES)) -> list[OutageReport]:
             xi1=x1_lb, xi2=x2_lb, outage_lb=po_lb, outage_ub=ub_value,
             outage_asym=outage_asymptotic(link) if "asymptotic" in modes else None,
             throughput=throughput(po_lb, link.params.rate) if lb else None,
-            diversity_order=diversity_order(link.approx), lam=link.budget.lam,
-            delta=link.approx.delta, zeta=link.approx.zeta,
             reliability_flag=reliability_flag(link.budget.lam)))
     return reports
 

@@ -60,14 +60,6 @@ class AccuracyError(ArithmeticError):
 
 def reg_lower_gamma(a, x):
     """Regularized lower incomplete gamma P(a, x) (scalar or array)."""
-    if type(a) is float and type(x) is float:
-        # the same checks and the same ufunc without the array round trip,
-        # which costs ten times the call; NaN passes both as it does below
-        if a <= 0.0:
-            raise UnsupportedShapeError(f"shape parameter must be positive, got {a!r}")
-        if x < 0.0:
-            raise ValueError(f"argument must be nonnegative, got {x!r}")
-        return float(special.gammainc(a, x))
     a_arr = np.asarray(a, dtype=float)
     if np.any(a_arr <= 0.0):
         raise UnsupportedShapeError(f"shape parameter must be positive, got {a!r}")

@@ -624,15 +624,25 @@ class TestMain:
 
     @pytest.mark.parametrize("flag", ["--out", "--gnuplot"])
     def test_sweep_output_in_a_missing_directory_exits_2(self, tmp_path, capsys,
-                                                         flag):
-        paths = {"--out": str(tmp_path / "x.csv"), "--gnuplot": str(tmp_path / "x.gp")}
-        paths[flag] = str(tmp_path / "missing" / "x")
+                                                         monkeypatch, flag):
+        # a path in a missing directory, and one that is a directory, are
+        # refused (exit 2, named) before any row is evaluated or file written
+        def not_evaluated(*args, **kwargs):
+            raise AssertionError("the sweep was evaluated")
+
+        monkeypatch.setattr(cli, "outage_reports", not_evaluated)
+        (tmp_path / "sub").mkdir()
         config = write_config(tmp_path, SMALL_SWEEP)
-        assert main(["sweep", "--config", config, "--modes", "analytic_lb",
-                     *itertools.chain(*paths.items())]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and paths[flag] in err
-        assert "Traceback" not in err
+        for bad in (tmp_path / "missing" / "x", tmp_path / "sub"):
+            paths = {"--out": str(tmp_path / "x.csv"),
+                     "--gnuplot": str(tmp_path / "x.gp"), flag: str(bad)}
+            assert main(["sweep", "--config", config, "--modes", "analytic_lb",
+                         *itertools.chain(*paths.items())]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and paths[flag] in err
+            assert "Traceback" not in err
+            # a bad --gnuplot path leaves no CSV behind
+            assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("entry, key", [
         # a truthy string switched the surface noise on and exited 0

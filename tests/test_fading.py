@@ -57,8 +57,8 @@ def mp_large_shape_moments(n, m_bn, m_nd, om_bn, om_nd):
                 float(-n * mp.mpf(om_bn) * om_nd * mp.expm1(2 * log_g)))
 
 
-@pytest.mark.parametrize("m", [64.0, 64.5, 100.0, 1e3, 1e4, 1e5, 1e6, 1e8, 1e10, 1e12,
-                               1e306])
+@pytest.mark.parametrize("m", [16.0, 24.0, 40.0, 63.9, 64.0, 64.5, 100.0, 1e3, 1e4, 1e5,
+                               1e6, 1e8, 1e10, 1e12, 1e306])
 def test_cascade_moments_at_large_shapes(m):
     # 1 - g^2/(m_bn*m_nd) cancelled to 1e-6 relative at m = 1e4 and 87x at
     # 1e8, and lgamma refused m = 1e306; the series needs no lgamma

@@ -154,9 +154,48 @@ def _unused_imports(path: Path) -> list[str]:
             if name not in read]
 
 
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Top-level _names a module defines (def, class or assignment)."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = [t.id for t in (node.targets if isinstance(node, ast.Assign)
+                                      else [node.target]) if isinstance(t, ast.Name)]
+        else:
+            continue
+        defined.update((name, node.lineno) for name in targets
+                       if name.startswith("_") and not name.startswith("__"))
+    return defined
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Names a module reads: loaded names, attributes and from-imports."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
 class TestImports:
     def test_every_top_level_import_is_used(self):
         # __init__.py imports to re-export; every other module imports to use
         unused = [entry for path in sorted(PACKAGE.glob("*.py"))
                   if path.name != "__init__.py" for entry in _unused_imports(path)]
         assert unused == []
+
+    def test_every_private_top_level_name_is_read(self):
+        # a private helper nothing in the package reads is left over
+        trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+                 for path in sorted(PACKAGE.glob("*.py"))}
+        read = set().union(*map(_names_read, trees.values()))
+        orphans = [f"{name}:{line} {defined}" for name, tree in trees.items()
+                   for defined, line in sorted(_private_definitions(tree).items())
+                   if defined not in read]
+        assert orphans == []

@@ -393,10 +393,9 @@ class TestOutageReport:
         assert rep.outage_lb < rep.outage_ub
         # throughput pairs with the lower bound, exactly
         assert rep.throughput == (1.0 - rep.outage_lb) * link.params.rate
-        assert rep.diversity_order == link.approx.delta / 2.0
-        assert rep.lam == link.budget.lam
-        assert rep.delta == link.approx.delta
-        assert rep.zeta == link.approx.zeta
+        # the link's own quantities stay on the link
+        assert not {"diversity_order", "lam", "delta", "zeta"} & {
+            f.name for f in fields(OutageReport)}
 
     def test_evaluate_mode_dispatch(self):
         link = link_at(-66.0, n=10)

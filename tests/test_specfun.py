@@ -55,7 +55,8 @@ class TestRegLowerGamma:
             reg_lower_gamma(2.0, -1.0)
 
     def test_float_arguments_take_the_array_path_bits_and_errors(self):
-        # two floats skip the array conversion; it must not show
+        # floats go through the same 0-d array path as arrays do: the
+        # same bits and the same error types
         edges = [0.0, -0.0, 5e-324, 2.2e-308, 1e-300, 0.5, 3.0, 1e6,
                  math.inf, -math.inf, math.nan, -5e-324, -1.0, -1e300]
         for a in edges:
