@@ -115,13 +115,9 @@ def _preset_dir():
 
 def list_presets() -> list[tuple[str, str]]:
     """(name, description) pairs for the bundled sweep configs."""
-    out = []
-    for entry in sorted(_preset_dir().iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".yaml"):
-            data = yaml.load(entry.read_text(encoding="utf-8"),
-                             Loader=_YAML_LOADER) or {}
-            out.append((entry.name[:-5], str(data.get("description", ""))))
-    return out
+    return [(entry.name[:-5], load_grid(str(entry)).description)
+            for entry in sorted(_preset_dir().iterdir(), key=lambda e: e.name)
+            if entry.name.endswith(".yaml")]
 
 
 def _resolve_config(path_or_name: str) -> str:
@@ -306,7 +302,15 @@ def run_sweep(config: str, out_path: str, *, seed: int | None = None,
                         out_path, workers)
 
 
-def _write_sweep(grid: SweepGrid, out_path: str, workers: int | None = None) -> int:
+def _write_sweep(grid: SweepGrid, out_path: str, workers: int | None = None,
+                 gnuplot: str | None = None) -> int:
+    # refuse an output path no file can be written to before any work;
+    # open() still reports the rest (permissions, races)
+    for path in filter(None, (out_path, gnuplot)):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"{path}: not a file path in an existing directory")
+    if gnuplot and os.path.realpath(gnuplot) == os.path.realpath(out_path):
+        raise ConfigError(f"{gnuplot}: the plot script would overwrite {out_path}")
     values = np.linspace(grid.start, grid.stop, grid.points)
     variants = _variants(grid)
     # every point's params, links and analytic values are built before the
@@ -326,6 +330,8 @@ def _write_sweep(grid: SweepGrid, out_path: str, workers: int | None = None) -> 
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         writer.writerows(rows)
+    if gnuplot:
+        write_gnuplot_script(out_path, gnuplot, [label for _, _, label in variants])
     return len(rows)
 
 
@@ -517,14 +523,15 @@ def validate(level: str = "fast") -> tuple[bool, list[str]]:
 
 def _cmd_table2(args) -> int:
     grid = table2()
-    print("surface noise power, dBW (T = 290 K, B = 20 MHz)")
-    print(f"{'alpha':>6} {'N=5':>10} {'N=10':>10} {'N=20':>10}")
+    print(f"surface noise power, dBW (T = {noise.T_DEFAULT:g} K, "
+          f"B = {noise.B_DEFAULT / 1e6:g} MHz)")
+    print(f"{'alpha':>6} " + " ".join(f"{f'N={n}':>10}" for n in noise.TABLE_COUNTS))
     for alpha, row in grid:
         print(f"{alpha:>6.1f} " + " ".join(f"{v:>10.4f}" for v in row))
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["alpha", "n5", "n10", "n20"])
+            writer.writerow(["alpha", *(f"n{n}" for n in noise.TABLE_COUNTS)])
             for alpha, row in grid:
                 writer.writerow([_fmt(alpha)] + [_fmt(v) for v in row])
     return 0
@@ -533,16 +540,9 @@ def _cmd_table2(args) -> int:
 def _cmd_sweep(args) -> int:
     modes = tuple(args.modes.split(",")) if args.modes else None
     grid = load_grid(args.config, seed=args.seed, trials=args.trials, modes=modes)
-    # refuse an output path no file can be written to before any work;
-    # open() still reports the rest (permissions, races)
-    for path in filter(None, (args.out, args.gnuplot)):
-        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
-            raise ConfigError(f"{path}: not a file path in an existing directory")
-    count = _write_sweep(grid, args.out)
+    count = _write_sweep(grid, args.out, gnuplot=args.gnuplot)
     print(f"wrote {count} rows to {args.out}")
     if args.gnuplot:
-        write_gnuplot_script(args.out, args.gnuplot,
-                             [label for _, _, label in _variants(grid)])
         print(f"wrote plot script to {args.gnuplot}")
     return 0
 

@@ -19,8 +19,8 @@ holds these settings and, like SystemParams, is checked when it is built.
 One running batch holds about batch*n*8 bytes per worker: the transmitter-hop
 amplitudes in full, while the receiver hop streams through blocks of about
 2**16 amplitudes; estimate_outages refuses a key whose batch would pass
-1 GiB.  The block size, unlike the batch size, is not part of the seeding
-contract: it changes no drawn bit.
+1 GiB, and a plan of over 2**19 jobs.  The block size, unlike the batch
+size, is not part of the seeding contract: it changes no drawn bit.
 
 estimate_outages groups requests by fading key (the parameters the draws
 depend on); each (fading key, batch index) job draws once and counts every
@@ -253,6 +253,10 @@ def _worker_count(workers: int | None) -> int:
 # worker can count on (200 GB at n = 1e5), so the key is refused instead.
 _MAX_BATCH_AMPLITUDES = 2 ** 27
 
+# a (fading key, batch) job's tuple, future and work item take about 1.8 kB on
+# the pool path: 2**19 jobs hold 0.9 GiB before any draw, and more are refused
+_MAX_JOBS = 2 ** 19
+
 
 def estimate_outages(requests, config: McConfig = McConfig(),
                      workers: int | None = None) -> list[McEstimate]:
@@ -275,6 +279,11 @@ def estimate_outages(requests, config: McConfig = McConfig(),
         key = tuple(getattr(params, f) for f in _FADING_FIELDS)
         groups.setdefault(key, (params, []))[1].append(
             (i, build_noise_budget(params), which))
+    per_key = -(-config.trials // config.batch)
+    if len(groups) * per_key > _MAX_JOBS:
+        raise ConfigError(f"trials, batch: {len(groups)} fading key(s) x {per_key} "
+                          f"batches make {len(groups) * per_key} jobs, past the cap "
+                          f"of {_MAX_JOBS}; lower trials or raise batch")
     jobs = [(params, counted, config.seed, index, size)
             for params, counted in groups.values()
             for index, size in enumerate(_batch_sizes(config.trials, config.batch))]

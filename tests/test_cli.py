@@ -644,6 +644,28 @@ class TestMain:
             # a bad --gnuplot path leaves no CSV behind
             assert not (tmp_path / "x.csv").exists()
 
+    def test_run_sweep_into_a_missing_directory_is_refused_before_evaluating(
+            self, tmp_path, monkeypatch):
+        def not_evaluated(*args, **kwargs):
+            raise AssertionError("the sweep was evaluated")
+
+        monkeypatch.setattr(cli, "outage_reports", not_evaluated)
+        bad = str(tmp_path / "missing" / "x.csv")
+        with pytest.raises(ConfigError, match="not a file path in an existing directory"):
+            run_sweep(write_config(tmp_path, SMALL_SWEEP), bad, modes=("analytic_lb",))
+
+    def test_sweep_plot_script_onto_its_own_csv_exits_2(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # the script overwrote the CSV it plots, and the sweep exited 0
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, SMALL_SWEEP)
+        for out, script in (("x.csv", "x.csv"), ("x.csv", str(tmp_path / "x.csv"))):
+            assert main(["sweep", "--config", config, "--modes", "analytic_lb",
+                         "--out", out, "--gnuplot", script]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and out in err and script in err
+            assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("entry, key", [
         # a truthy string switched the surface noise on and exited 0
         ("ris_noise: \"no\"", "ris_noise"),
@@ -666,10 +688,12 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize("text, line", [
-        # distance ** -exponent overflowed in path_loss
-        ("fixed: {tau_bn: -400.0}\n", "distance: phi_ref / distance**exponent"),
+        # distance ** -exponent overflowed in path_loss; the refusal names
+        # the config fields of the hop, not path_loss's arguments
+        ("fixed: {tau_bn: -400.0}\n",
+         "error: d_bn, tau_bn, phi_ref: distance: phi_ref / distance**exponent"),
         ("axis: ris_receiver_distance_m\nstart: 1.0e-300\nstop: 1.0\n",
-         "distance: phi_ref / distance**exponent"),
+         "error: d_nd, tau_nd, phi_ref: distance: phi_ref / distance**exponent"),
         # psi = pb*alpha/sigma_d2 underflowed to 0 and xi2 divided by it
         ("axis: reflection_factor\nstart: 5.0e-324\nstop: 1.0e-300\n"
          "points: 2\nfixed: {temp: 1.0e+300}\n",
@@ -679,8 +703,11 @@ class TestMain:
          "modes: [analytic_lb]\nfixed: {n: 1000, m_bn: 1.0e+150, d_bn: 1.0e+30, "
          "phi_ref: 1.0e-150, pb_dbw: 3000.0, tau_bn: -3.0}\n",
          "pb: the signal scale pb*alpha/sigma_d2 is past the double range"),
-        # a grid this long ran out of memory before its first row
+        # a grid this long ran out of memory before its first row, and a
+        # job plan of 4e18 Monte Carlo batches before its first draw
         ("points: 1000000000000000000\n", "points: integer in [2, 1000000]"),
+        ("trials: 1000000000000000000000000\nmodes: [mc_exact]\n",
+         "error: trials, batch: 1 fading key(s) x 4000000000000000000 batches"),
         # the cascade shape overflowed, then its mean underflowed to 0: both
         # were refused under gamma_approx's argument names mu and sigma2
         ("fixed: {m_bn: 1.7976931348623157e+308, m_nd: 1.7976931348623157e+308}\n",

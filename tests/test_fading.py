@@ -8,7 +8,6 @@ from scipy import integrate, stats
 
 from risnoise.fading import (
     CascadeApprox,
-    amplitude_mean_factor,
     cascade_moments,
     cdf_X,
     gamma_approx,
@@ -31,21 +30,6 @@ def mp_cascade_moments(n, m_bn, m_nd, om_bn, om_nd):
         mu = g * mp.sqrt(mp.mpf(om_bn) * om_nd / (mp.mpf(m_bn) * m_nd)) * n
         var = n * mp.mpf(om_bn) * om_nd * (1 - g * g / (mp.mpf(m_bn) * m_nd))
         return float(mu), float(var)
-
-
-@pytest.mark.parametrize("m,expect", [
-    (0.5, 1.0 / math.sqrt(math.pi)),   # Gamma(1)/Gamma(1/2)
-    (1.0, math.sqrt(math.pi) / 2.0),   # Gamma(3/2)/Gamma(1)
-    (2.0, 0.75 * math.sqrt(math.pi)),  # Gamma(5/2)/Gamma(2)
-])
-def test_amplitude_mean_factor_closed_forms(m, expect):
-    assert_allclose(amplitude_mean_factor(m), expect, rtol=1e-14)
-
-
-def test_amplitude_mean_factor_refuses_a_shape_past_lgamma():
-    # lgamma overflowed with an OverflowError traceback through every sweep
-    with pytest.raises(ValueError, match=r"m: lgamma\(m\) is past the double range"):
-        amplitude_mean_factor(1.7976931348623157e308)
 
 
 def mp_large_shape_moments(n, m_bn, m_nd, om_bn, om_nd):
@@ -118,6 +102,14 @@ def test_reference_shape_and_scale():
     ap = cascade_approx(10, 2.0, 2.0, om_bn, om_nd)
     assert_allclose(ap.delta, 35.5998700, atol=5e-6)
     assert_allclose(ap.zeta / math.sqrt(om_bn * om_nd), 0.2481956, atol=5e-7)
+    # one element, unit powers: the mean is Gamma(m+1/2)^2/(Gamma(m)^2 m)
+    # and the variance 1 minus its square
+    for m, ratio in ((0.5, 1.0 / math.sqrt(math.pi)),   # Gamma(1)/Gamma(1/2)
+                     (1.0, math.sqrt(math.pi) / 2.0),   # Gamma(3/2)/Gamma(1)
+                     (2.0, 0.75 * math.sqrt(math.pi))):  # Gamma(5/2)/Gamma(2)
+        mean = ratio * ratio / m
+        assert_allclose(cascade_moments(1, m, m, 1.0, 1.0), (mean, 1.0 - mean * mean),
+                        rtol=1e-14)
     # the shape is independent of the mean powers, the scale is not
     ap2 = cascade_approx(10, 2.0, 2.0, 1.0, 1.0)
     assert_allclose(ap2.delta, ap.delta, rtol=1e-13)
@@ -251,7 +243,8 @@ class TestSampleNakagami:
         m, om = 2.0, 0.25
         s = sample_nakagami(rng, m, om, size=500_000)
         assert abs((s ** 2).mean() - om) < 5 * om / math.sqrt(2 * 500_000)
-        want_mean = amplitude_mean_factor(m) * math.sqrt(om / m)
+        # E|g| = Gamma(m + 1/2)/Gamma(m) * sqrt(omega/m)
+        want_mean = math.gamma(m + 0.5) / math.gamma(m) * math.sqrt(om / m)
         assert s.mean() == pytest.approx(want_mean, rel=5e-3)
 
     def test_rayleigh_special_case(self):

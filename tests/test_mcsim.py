@@ -461,6 +461,25 @@ class TestEstimateOutages:
                                                   f"draws at n = {n} "):
                 estimate_outages([small, (SystemParams(n=n), "ub")], cfg)
 
+    def test_refuses_a_job_plan_past_its_cap_before_any_draw(self, monkeypatch):
+        # 1e24 trials are 4e18 batches: the job list died in a MemoryError
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew a batch of a plan past the cap")
+
+        monkeypatch.setattr(mcsim, "draw_realization", refuse)
+        with pytest.raises(ConfigError, match=r"^trials, batch: 2 fading key\(s\) x "
+                                              r"4000000000000000000 batches make "):
+            estimate_outages([(SystemParams(n=5), "ub"), (SystemParams(n=6), "lb")],
+                             McConfig(trials=10 ** 24), workers=2)
+        # a plan at the cap runs; one job more is refused
+        monkeypatch.setattr(mcsim, "_count_batch", lambda *job: [])
+        monkeypatch.setattr(mcsim, "_MAX_JOBS", 4)
+        assert estimate_outages([(SystemParams(), "ub")],
+                                McConfig(trials=4_000, batch=1_000))[0].p_hat == 0.0
+        with pytest.raises(ConfigError, match=r"^trials, batch: 1 fading key\(s\) x 5 "
+                                              r"batches make 5 jobs"):
+            estimate_outages([(SystemParams(), "ub")], McConfig(trials=4_001, batch=1_000))
+
 
 class TestPinnedCounts:
     # the smallest Nakagami shape, where draws come nearest to 0, over a

@@ -156,9 +156,19 @@ class TestXi1Closed:
     def test_tiny_complement_keeps_every_double_digit(self):
         # xi1 = 2.2e-18 is 1 - total: the sum must clear its roundoff floor
         # by SLATER_GOOD_DIGITS digits (six were once taken as enough, which
-        # left the series 8.3e-12 off); reference: a 40-digit quadrature
+        # left the series 8.3e-12 off); reference: a 40-digit quadrature of
+        # E_Y[P(dint, c*sqrt(Y))] at the link's own doubles (2.199082131662285e-18)
         link = link_at(-40.0, n=5)
-        assert_allclose(xi1_closed(link), 2.199082131662291e-18, rtol=1e-15)
+        with mp.workdps(40):
+            a, r = mp.mpf(link.y_shape), mp.mpf(link.y_rate)
+            c = mp.sqrt(mp.mpf(link.budget.lam) * link.budget.ups_th
+                        / link.budget.psi) / link.approx.zeta
+            dint = link.approx.delta_int
+            peak = (a + dint / 2.0) / r
+            want = mp.quad(lambda y: r ** a * y ** (a - 1) * mp.exp(-r * y) / mp.gamma(a)
+                           * mp.gammainc(dint, 0, c * mp.sqrt(y), regularized=True),
+                           [0, peak / 4, peak, 4 * peak, mp.inf])
+        assert_allclose(xi1_closed(link), float(want), rtol=1e-15)
 
     def test_monotone_in_lambda(self):
         base = SystemParams(pb=10.0 ** -6.5)

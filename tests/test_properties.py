@@ -235,9 +235,10 @@ def sweep_configs(draw):
 # configs that escaped as tracebacks: an OverflowError in path_loss, a
 # ZeroDivisionError in xi2, a MemoryError building the grid, a
 # ZeroDivisionError in the noise budget, an OverflowError in lgamma (now a
-# refused Y shape) and a cascade shape past the double range; and two sizes
-# refused before they allocate: 8.2e9 xi1 nodes, and a Monte Carlo batch of
-# 250,000 x 1e5 transmitter-hop amplitudes (200 GB)
+# refused Y shape) and a cascade shape past the double range; and three
+# sizes refused before they allocate: 8.2e9 xi1 nodes, a Monte Carlo batch
+# of 250,000 x 1e5 transmitter-hop amplitudes (200 GB), and a Monte Carlo
+# job plan of 4e18 batches
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @example({"fixed": {"tau_bn": -400.0}})
 @example({"axis": "reflection_factor", "start": 5e-324, "stop": 1e-300,
@@ -248,6 +249,7 @@ def sweep_configs(draw):
 @example({"fixed": {"m_bn": sys.float_info.max, "m_nd": sys.float_info.max}})
 @example({"fixed": {"n": 10 ** 18}, "modes": ["analytic_lb"]})
 @example({"fixed": {"n": 10 ** 5}, "modes": ["mc_ub"]})
+@example({"trials": 10 ** 24, "modes": ["mc_exact"]})
 @given(sweep_configs())
 def test_sweep_exits_0_or_2_on_any_config(config):
     with tempfile.TemporaryDirectory() as tmp:
