@@ -32,6 +32,19 @@ def mp_cascade_moments(n, m_bn, m_nd, om_bn, om_nd):
         return float(mu), float(var)
 
 
+@pytest.mark.parametrize("m,expect", [
+    (0.5, 1.0 / math.sqrt(math.pi)),   # Gamma(1)/Gamma(1/2)
+    (1.0, math.sqrt(math.pi) / 2.0),   # Gamma(3/2)/Gamma(1)
+    (2.0, 0.75 * math.sqrt(math.pi)),  # Gamma(5/2)/Gamma(2)
+])
+def test_amplitude_mean_factor_closed_forms(m, expect):
+    # one element, unit powers: the mean is (Gamma(m+1/2)/Gamma(m))^2/m
+    # and the variance 1 minus its square
+    mean = expect * expect / m
+    assert_allclose(cascade_moments(1, m, m, 1.0, 1.0), (mean, 1.0 - mean * mean),
+                    rtol=1e-14)
+
+
 def mp_large_shape_moments(n, m_bn, m_nd, om_bn, om_nd):
     # loggamma differences at enough digits to outlast their cancellation
     with mp.workdps(60 + 2 * int(math.log10(max(m_bn, m_nd)))):
@@ -102,14 +115,6 @@ def test_reference_shape_and_scale():
     ap = cascade_approx(10, 2.0, 2.0, om_bn, om_nd)
     assert_allclose(ap.delta, 35.5998700, atol=5e-6)
     assert_allclose(ap.zeta / math.sqrt(om_bn * om_nd), 0.2481956, atol=5e-7)
-    # one element, unit powers: the mean is Gamma(m+1/2)^2/(Gamma(m)^2 m)
-    # and the variance 1 minus its square
-    for m, ratio in ((0.5, 1.0 / math.sqrt(math.pi)),   # Gamma(1)/Gamma(1/2)
-                     (1.0, math.sqrt(math.pi) / 2.0),   # Gamma(3/2)/Gamma(1)
-                     (2.0, 0.75 * math.sqrt(math.pi))):  # Gamma(5/2)/Gamma(2)
-        mean = ratio * ratio / m
-        assert_allclose(cascade_moments(1, m, m, 1.0, 1.0), (mean, 1.0 - mean * mean),
-                        rtol=1e-14)
     # the shape is independent of the mean powers, the scale is not
     ap2 = cascade_approx(10, 2.0, 2.0, 1.0, 1.0)
     assert_allclose(ap2.delta, ap.delta, rtol=1e-13)
