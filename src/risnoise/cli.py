@@ -321,7 +321,7 @@ def _write_sweep(grid: SweepGrid, out_path: str, workers: int | None = None,
     analytic = tuple(m for m in grid.modes if m in ANALYTIC_MODES)
     reports = (dict(zip(links, outage_reports(links.values(), analytic)))
                if analytic else {})
-    requests = {(v, mode, q): (links[v, q].params, mode.removeprefix("mc_"))
+    requests = {(v, mode, q): (links[v, q], mode.removeprefix("mc_"))
                 for v in values for mode, q, _ in variants if mode in MC_MODES}
     mc = dict(zip(requests, estimate_outages(list(requests.values()),
                                              grid.mc_config, workers)))
@@ -453,30 +453,27 @@ def _checks_fast() -> list[tuple[str, bool, str]]:
 
 def _checks_full() -> list[tuple[str, bool, str]]:
     out = []
-    params = SystemParams(n=10)
+    link = build_link_model(SystemParams(n=10))
 
     trials = 1_000_000
     rng = np.random.Generator(np.random.Philox(key=np.array([11, 0],
                                                             dtype=np.uint64)))
-    x, y = draw_realization(params, rng, size=trials)
-    approx = build_link_model(params).approx
-    mu, var = approx.mu, approx.sigma2
-    err = abs(np.sqrt(x).mean() - mu)
-    ok = err < 3.0 * math.sqrt(var / trials)
+    x, y = draw_realization(link.params, rng, size=trials)
+    err = abs(np.sqrt(x).mean() - link.approx.mu)
+    ok = err < 3.0 * math.sqrt(link.approx.sigma2 / trials)
     out.append(_check("mc-moments", ok, f"|mean err| {err:.3e}"))
 
-    budget = build_noise_budget(params)
-    lb, ub = sinr_bounds(x, y, budget)
-    exact = sinr_exact(x, y, budget)
+    lb, ub = sinr_bounds(x, y, link.budget)
+    exact = sinr_exact(x, y, link.budget)
     bad = int(np.count_nonzero(~((lb <= exact) & (exact <= ub))))
     out.append(_check("mc-sandwich", bad == 0, f"{bad} violations in {trials}"))
 
     # the analytic factor rides on the moment-matched cascade, so a few
     # percent of model bias is expected on top of the sampling noise;
     # 8% headroom still catches any real wiring fault
-    quiet = SystemParams(n=5, pb=10.0 ** -6.6, ris_noise=False)
-    est = estimate_outage(quiet, McConfig(trials=1_000_000, seed=12))
-    want = outage_report(build_link_model(quiet)).xi2
+    quiet = build_link_model(SystemParams(n=5, pb=10.0 ** -6.6, ris_noise=False))
+    est, = estimate_outages([(quiet, "exact")], McConfig(trials=1_000_000, seed=12))
+    want = outage_report(quiet).xi2
     gap = abs(est.p_hat - want) / want
     out.append(_check("mc-noiseless", gap < 0.08,
                       f"mc {est.p_hat:.4e} vs analytic {want:.4e}, rel gap {gap:.3f}"))
@@ -489,8 +486,9 @@ def _checks_full() -> list[tuple[str, bool, str]]:
                       f"1 worker {a.p_hat:.6e} vs 4 workers {b.p_hat:.6e}"))
 
     selectors = ("lb", "exact", "ub")
+    probe_link = build_link_model(probe)
     p = {w: est.p_hat for w, est in zip(selectors, estimate_outages(
-        [(probe, w) for w in selectors], McConfig(trials=400_000, seed=14)))}
+        [(probe_link, w) for w in selectors], McConfig(trials=400_000, seed=14)))}
     out.append(_check("mc-ordering", p["ub"] <= p["exact"] <= p["lb"],
                       f"ub {p['ub']:.4e} <= exact {p['exact']:.4e} "
                       f"<= lb {p['lb']:.4e}"))
@@ -538,7 +536,7 @@ def _cmd_table2(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    modes = tuple(args.modes.split(",")) if args.modes else None
+    modes = None if args.modes is None else tuple(args.modes.split(","))
     grid = load_grid(args.config, seed=args.seed, trials=args.trials, modes=modes)
     count = _write_sweep(grid, args.out, gnuplot=args.gnuplot)
     print(f"wrote {count} rows to {args.out}")

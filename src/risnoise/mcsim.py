@@ -22,10 +22,12 @@ amplitudes in full, while the receiver hop streams through blocks of about
 1 GiB, and a plan of over 2**19 jobs.  The block size, unlike the batch
 size, is not part of the seeding contract: it changes no drawn bit.
 
-estimate_outages groups requests by fading key (the parameters the draws
-depend on); each (fading key, batch index) job draws once and counts every
-request of the key against its own noise budget.  These jobs are the only
-parallel work in the package, run by RISNOISE_WORKERS threads (default 1).
+estimate_outages takes (link, selector) requests on outage.LinkModel links
+and groups them by fading key (what the draws depend on: n, the two shapes
+and the two hop powers); each (fading key, batch index) job draws once and
+counts every request of the key against its link's noise budget.  These
+jobs are the only parallel work in the package, run by RISNOISE_WORKERS
+threads (default 1).  estimate_outage builds its link before any draw.
 
 Counting walks the drawn X and Y in cache-sized blocks of trials.  Per block
 it checks X, Y >= 0 once, forms lam*Y once per distinct lam (lam does not
@@ -46,9 +48,9 @@ import numpy as np
 from scipy import special
 
 from . import noise
-from .noise import NoiseBudget, SystemParams, build_noise_budget, path_loss
+from .noise import NoiseBudget, SystemParams, hop_powers
 from .fading import sample_nakagami
-from .outage import throughput
+from .outage import build_link_model, throughput
 
 WORKERS_ENV = "RISNOISE_WORKERS"
 
@@ -113,8 +115,7 @@ def draw_realization(params: SystemParams, rng: np.random.Generator,
     if k < 1:
         raise ValueError(f"size must be positive, got {size!r}")
     n = params.n
-    om_bn = path_loss(params.d_bn, params.tau_bn, params.phi_ref)
-    om_nd = path_loss(params.d_nd, params.tau_nd, params.phi_ref)
+    om_bn, om_nd = hop_powers(params)
     a = sample_nakagami(rng, params.m_bn, om_bn, size=(k, n))
     x = np.empty(k)
     y = np.empty(k)
@@ -157,8 +158,7 @@ def _sinr(snr, lam_y, which: str):
 
 def sinr_exact(x, y, budget: NoiseBudget):
     """Instantaneous SINR psi*X / (lam*Y + 1) (noise entered as averages)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     _check_powers(x, y)
     out = _sinr(budget.psi * x, _noise_term(budget.lam, y), "exact")
     return float(out) if out.ndim == 0 else out
@@ -166,8 +166,7 @@ def sinr_exact(x, y, budget: NoiseBudget):
 
 def sinr_bounds(x, y, budget: NoiseBudget):
     """Per-draw SINR bracket (lb, ub): ub = min(psi*X/(lam*Y), psi*X), lb = ub/2."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     _check_powers(x, y)
     ub = _sinr(budget.psi * x, _noise_term(budget.lam, y), "ub")
     if ub.ndim == 0:
@@ -189,10 +188,6 @@ def _batch_rng(seed: int, index: int) -> np.random.Generator:
     # the same numbers no matter which worker runs it, or when
     return np.random.Generator(
         np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
-
-
-# the fading key: the SystemParams fields draw_realization depends on
-_FADING_FIELDS = ("n", "m_bn", "m_nd", "d_bn", "d_nd", "tau_bn", "tau_nd", "phi_ref")
 
 
 def _count_batch(params: SystemParams, counted, seed: int, index: int,
@@ -260,15 +255,17 @@ _MAX_JOBS = 2 ** 19
 
 def estimate_outages(requests, config: McConfig = McConfig(),
                      workers: int | None = None) -> list[McEstimate]:
-    """One estimate per (params, which) request, in request order.
+    """One estimate per (link, which) request, in request order.
 
-    Each request gets exactly the counts estimate_outage would give it
-    alone; requests with the same fading key share each batch's draw.
+    Requests whose links share a fading key share each batch's draw; each
+    gets exactly the counts estimate_outage would give its link alone.
     """
     workers = _worker_count(workers)
+    requests = list(requests)
     rows = min(config.batch, config.trials)
     groups: dict[tuple, tuple] = {}
-    for i, (params, which) in enumerate(requests):
+    for i, (link, which) in enumerate(requests):
+        params = link.params
         if which not in SELECTORS:
             raise ValueError(f"which must be one of {SELECTORS}, got {which!r}")
         if rows * params.n > _MAX_BATCH_AMPLITUDES:
@@ -276,17 +273,16 @@ def estimate_outages(requests, config: McConfig = McConfig(),
                 f"n, batch: a batch of {rows} draws at n = {params.n} holds "
                 f"{rows * params.n} transmitter-hop amplitudes, past the cap of "
                 f"{_MAX_BATCH_AMPLITUDES} (1 GiB); lower batch")
-        key = tuple(getattr(params, f) for f in _FADING_FIELDS)
-        groups.setdefault(key, (params, []))[1].append(
-            (i, build_noise_budget(params), which))
+        key = (params.n, params.m_bn, params.m_nd, link.omega_bn, link.omega_nd)
+        groups.setdefault(key, (params, []))[1].append((i, link.budget, which))
     per_key = -(-config.trials // config.batch)
     if len(groups) * per_key > _MAX_JOBS:
         raise ConfigError(f"trials, batch: {len(groups)} fading key(s) x {per_key} "
                           f"batches make {len(groups) * per_key} jobs, past the cap "
                           f"of {_MAX_JOBS}; lower trials or raise batch")
+    sizes = list(enumerate(_batch_sizes(config.trials, config.batch)))
     jobs = [(params, counted, config.seed, index, size)
-            for params, counted in groups.values()
-            for index, size in enumerate(_batch_sizes(config.trials, config.batch))]
+            for params, counted in groups.values() for index, size in sizes]
     if workers == 1 or len(jobs) <= 1:
         per_job = [_count_batch(*job) for job in jobs]
     else:
@@ -305,7 +301,7 @@ def estimate_outage(params: SystemParams, config: McConfig = McConfig(),
                     which: str = "exact",
                     workers: int | None = None) -> McEstimate:
     """Fraction of fading draws whose selected SINR falls below the threshold."""
-    return estimate_outages([(params, which)], config, workers)[0]
+    return estimate_outages([(build_link_model(params), which)], config, workers)[0]
 
 
 def estimate_throughput(params: SystemParams, config: McConfig = McConfig(),

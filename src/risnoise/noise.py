@@ -222,6 +222,19 @@ class SystemParams:
             raise ValueError("invalid system parameters: " + "; ".join(found))
 
 
+def hop_powers(params: SystemParams) -> tuple[float, float]:
+    """Mean channel powers (omega_bn, omega_nd) of the two hops."""
+    # path_loss names its own arguments; a refusal names the hop's fields
+    hop = "d_bn, tau_bn, phi_ref"
+    try:
+        omega_bn = path_loss(params.d_bn, params.tau_bn, params.phi_ref)
+        hop = "d_nd, tau_nd, phi_ref"
+        omega_nd = path_loss(params.d_nd, params.tau_nd, params.phi_ref)
+    except ValueError as exc:
+        raise ValueError(f"{hop}: {exc}") from None
+    return omega_bn, omega_nd
+
+
 @dataclass(frozen=True)
 class NoiseBudget:
     """Derived noise dials for one operating point (all linear units)."""

@@ -49,7 +49,7 @@ from scipy.special import gammainc, gammaincc, logsumexp
 from . import specfun
 from .fading import (CascadeApprox, cascade_moments, cdf_X, gamma_approx, pdf_Y,
                      y_gamma_params)
-from .noise import (NoiseBudget, SystemParams, build_noise_budget, check, path_loss,
+from .noise import (NoiseBudget, SystemParams, build_noise_budget, check, hop_powers,
                     watts_from_db)
 from .specfun import (
     SLATER_GOOD_DIGITS,
@@ -79,14 +79,7 @@ class LinkModel:
 
 def build_link_model(params: SystemParams) -> LinkModel:
     budget = build_noise_budget(params)
-    # path_loss names its own arguments; a refusal names the hop's fields
-    hop = "d_bn, tau_bn, phi_ref"
-    try:
-        omega_bn = path_loss(params.d_bn, params.tau_bn, params.phi_ref)
-        hop = "d_nd, tau_nd, phi_ref"
-        omega_nd = path_loss(params.d_nd, params.tau_nd, params.phi_ref)
-    except ValueError as exc:
-        raise ValueError(f"{hop}: {exc}") from None
+    omega_bn, omega_nd = hop_powers(params)
     mu, sigma2 = cascade_moments(params.n, params.m_bn, params.m_nd, omega_bn, omega_nd)
     try:
         approx = gamma_approx(mu, sigma2)

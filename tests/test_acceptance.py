@@ -15,9 +15,9 @@ from risnoise import noise
 from risnoise.fading import cascade_moments
 from risnoise.mcsim import (
     McConfig,
+    ThroughputEstimate,
     draw_realization,
     estimate_outages,
-    estimate_throughput,
     sinr_bounds,
     sinr_exact,
 )
@@ -34,6 +34,7 @@ from risnoise.outage import (
     outage_lb,
     outage_report,
     power_for_outage,
+    throughput,
     xi1_closed,
     xi1_oracle,
     xi2,
@@ -164,11 +165,11 @@ def test_gate06_analytic_vs_simulation():
     points = []
     for n in (5, 10):
         for v in range(-80, -49, 3):
-            params = SystemParams(n=n, pb=10.0 ** (v / 10.0))
-            want = outage_lb(build_link_model(params))
+            link = build_link_model(SystemParams(n=n, pb=10.0 ** (v / 10.0)))
+            want = outage_lb(link)
             if want >= 1e-5:
-                points.append((n, v, params, want))
-    estimates = estimate_outages([(params, "ub") for _, _, params, _ in points],
+                points.append((n, v, link, want))
+    estimates = estimate_outages([(link, "ub") for _, _, link, _ in points],
                                  McConfig(trials=10_000_000, seed=1), workers=4)
     rows = []
     all_inside = True
@@ -236,30 +237,35 @@ def test_gate09_bound_sandwich():
 
 def test_gate10_noise_relevance_boundary():
     # paired runs (same seed, same draws) so the measured gap is the noise
-    # term's own effect, not independent sampling noise
+    # term's own effect, not independent sampling noise; one estimate_outages
+    # call draws each batch once per fading key (d_nd) for all twelve links
     t0 = time.perf_counter()
     cfg = McConfig(trials=1_000_000, seed=31)
+    rate = SystemParams().rate
 
     far = dict(n=10, sigma_d2=10.0 ** -12.8, d_nd=30.0)
+    drowned = dict(n=10, pb=10.0 ** -4.2, sigma_d2=1e-11, d_nd=15.0)
+    powers = (-60.0, -58.0, -56.0, -54.0, -52.0)
+    points = [dict(pb=10.0 ** (v / 10.0), **far) for v in powers] + [drowned]
+    links = [build_link_model(SystemParams(**point, ris_noise=noisy))
+             for point in points for noisy in (True, False)]
+    estimates = estimate_outages([(link, "exact") for link in links], cfg, workers=4)
+    # the interval mapped through the rate as estimate_throughput maps it
+    rates = [ThroughputEstimate(throughput(e.p_hat, rate), throughput(e.ci_hi, rate),
+                                throughput(e.ci_lo, rate), e.trials_used)
+             for e in estimates]
+    pairs = list(zip(rates[::2], rates[1::2]))   # (noisy, quiet)
+
     best = (0.0, 0.0, 0.0)
-    for v in (-60.0, -58.0, -56.0, -54.0, -52.0):
-        noisy = estimate_throughput(
-            SystemParams(pb=10.0 ** (v / 10.0), **far), cfg, workers=4)
-        quiet = estimate_throughput(
-            SystemParams(pb=10.0 ** (v / 10.0), **far, ris_noise=False),
-            cfg, workers=4)
+    for v, (noisy, quiet) in zip(powers, pairs):
         gap = abs(quiet.value - noisy.value)
         width = max(noisy.ci_hi - noisy.ci_lo, quiet.ci_hi - quiet.ci_lo)
         if gap >= best[1]:
             best = (v, gap, width)
     a_ok = best[1] > best[2]
 
-    drowned = dict(n=10, pb=10.0 ** -4.2, sigma_d2=1e-11, d_nd=15.0)
-    noisy = estimate_throughput(SystemParams(**drowned), cfg, workers=4)
-    quiet = estimate_throughput(SystemParams(**drowned, ris_noise=False),
-                                cfg, workers=4)
+    noisy, quiet = pairs[-1]
     gap_b = abs(quiet.value - noisy.value)
-    rate = SystemParams().rate
     b_ok = gap_b < 0.01 * rate
     elapsed = time.perf_counter() - t0
     _verdict(

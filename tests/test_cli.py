@@ -531,6 +531,16 @@ class TestMain:
         modes = {r[1] for r in read_rows(out)[1:]}
         assert modes == {"analytic_lb", "asymptotic"}
 
+    @pytest.mark.parametrize("modes", ["", ","])
+    def test_sweep_empty_modes_override_exits_2(self, tmp_path, capsys, modes):
+        # an empty --modes is an override, not a fall back on the config's modes
+        config = write_config(tmp_path, SMALL_SWEEP)
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", config, "--out", str(out),
+                     "--modes", modes]) == 2
+        assert "modes: unknown" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_config_error_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, "axis: frequency\n")
         rc = main(["sweep", "--config", config, "--out",

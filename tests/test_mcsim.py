@@ -81,6 +81,10 @@ class TestDrawRealization:
         with pytest.raises(ValueError):
             draw_realization(SystemParams(), rng_for(), size=0)
 
+    def test_a_refused_hop_names_its_fields(self):
+        with pytest.raises(ValueError, match=r"^d_nd, tau_nd, phi_ref: distance: "):
+            draw_realization(SystemParams(d_nd=1e-300), rng_for())
+
 
 def unblocked_draw(params, rng, size):
     # both hops drawn in full, in stream order, then reduced per row:
@@ -196,6 +200,11 @@ def kernel_counts(monkeypatch, x, y, requests):
     monkeypatch.setattr(mcsim, "draw_realization", lambda *a, **k: (x, y))
     counted = [(i, budget, which) for i, (budget, which) in enumerate(requests)]
     return [c for _, c in mcsim._count_batch(SystemParams(), counted, 0, 0, x.size)]
+
+
+def on_links(requests):
+    # (params, which) requests as the (link, which) ones estimate_outages takes
+    return [(build_link_model(params), which) for params, which in requests]
 
 
 def public_count(x, y, budget, which):
@@ -397,6 +406,19 @@ class TestEstimateOutage:
         ratio = (w1.ci_hi - w1.ci_lo) / (w2.ci_hi - w2.ci_lo)
         assert ratio == pytest.approx(math.sqrt(2.0), rel=0.1)
 
+    def test_a_refused_link_is_named_before_any_draw(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew a batch of a refused link")
+
+        monkeypatch.setattr(mcsim, "draw_realization", refuse)
+        with pytest.raises(ValueError, match=r"^d_bn, tau_bn, phi_ref: distance: "):
+            estimate_outage(SystemParams(tau_bn=-400.0), McConfig(trials=1_000))
+        # hops so weak that the cascade moments underflow to 0
+        with pytest.raises(ValueError, match=r"^d_bn, d_nd, tau_bn, tau_nd, phi_ref: "
+                                             r"the cascade moments are refused"):
+            estimate_throughput(SystemParams(d_bn=1e100, d_nd=1e100),
+                                McConfig(trials=1_000))
+
     def test_config_rejections(self):
         for kwargs in ({"trials": 999}, {"trials": 10_000, "batch": 0},
                        {"trials": 10_000, "seed": -1},
@@ -437,13 +459,36 @@ class TestEstimateOutages:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(mcsim, "draw_realization", counted)
-        assert estimate_outages(requests, cfg, workers=2) == separate
+        assert estimate_outages(on_links(requests), cfg, workers=2) == separate
         assert len(draws) == 4   # batches of 6000, 6000, 6000 and 2000
+
+    def test_links_with_equal_hop_powers_share_each_draw(self, monkeypatch):
+        # 4 / 2**2 and 1 / 1**tau: the raw hop fields differ, the hop
+        # powers are both 1.0, bitwise
+        scaled = SystemParams(d_bn=2.0, d_nd=2.0, tau_bn=2.0, tau_nd=2.0, phi_ref=4.0,
+                              pb=5e-14)
+        unit = SystemParams(d_bn=1.0, d_nd=1.0, pb=1e-13)
+        links = [build_link_model(p) for p in (scaled, unit)]
+        assert {(link.omega_bn, link.omega_nd) for link in links} == {(1.0, 1.0)}
+        cfg = McConfig(trials=4_000, seed=8, batch=2_000)
+        separate = [estimate_outage(p, cfg, which="ub") for p in (scaled, unit)]
+        assert all(0.0 < est.p_hat < 1.0 for est in separate)
+        draws = []
+        original = mcsim.draw_realization
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mcsim, "draw_realization", counted)
+        assert estimate_outages([(link, "ub") for link in links], cfg) == separate
+        assert len(draws) == 2   # one per batch, not one per batch and link
 
     def test_each_fading_key_draws_its_own_batches(self):
         requests = [(SystemParams(n=n, pb=1e-7), "exact") for n in (4, 6)]
         cfg = McConfig(trials=4_000, seed=5, batch=1_000)
-        together = estimate_outages(requests, cfg)
+        # any iterable of requests, though a generator has no len()
+        together = estimate_outages(iter(on_links(requests)), cfg)
         assert together == [estimate_outage(p, cfg) for p, _ in requests]
         assert together[0] != together[1]
 
@@ -459,7 +504,7 @@ class TestEstimateOutages:
                              (200_000, McConfig(trials=1_000), 1_000)):
             with pytest.raises(ConfigError, match=f"^n, batch: a batch of {rows} "
                                                   f"draws at n = {n} "):
-                estimate_outages([small, (SystemParams(n=n), "ub")], cfg)
+                estimate_outages(on_links([small, (SystemParams(n=n), "ub")]), cfg)
 
     def test_refuses_a_job_plan_past_its_cap_before_any_draw(self, monkeypatch):
         # 1e24 trials are 4e18 batches: the job list died in a MemoryError
@@ -469,16 +514,18 @@ class TestEstimateOutages:
         monkeypatch.setattr(mcsim, "draw_realization", refuse)
         with pytest.raises(ConfigError, match=r"^trials, batch: 2 fading key\(s\) x "
                                               r"4000000000000000000 batches make "):
-            estimate_outages([(SystemParams(n=5), "ub"), (SystemParams(n=6), "lb")],
+            estimate_outages(on_links([(SystemParams(n=5), "ub"),
+                                       (SystemParams(n=6), "lb")]),
                              McConfig(trials=10 ** 24), workers=2)
         # a plan at the cap runs; one job more is refused
         monkeypatch.setattr(mcsim, "_count_batch", lambda *job: [])
         monkeypatch.setattr(mcsim, "_MAX_JOBS", 4)
-        assert estimate_outages([(SystemParams(), "ub")],
+        assert estimate_outages(on_links([(SystemParams(), "ub")]),
                                 McConfig(trials=4_000, batch=1_000))[0].p_hat == 0.0
         with pytest.raises(ConfigError, match=r"^trials, batch: 1 fading key\(s\) x 5 "
                                               r"batches make 5 jobs"):
-            estimate_outages([(SystemParams(), "ub")], McConfig(trials=4_001, batch=1_000))
+            estimate_outages(on_links([(SystemParams(), "ub")]),
+                             McConfig(trials=4_001, batch=1_000))
 
 
 class TestPinnedCounts:
@@ -496,18 +543,18 @@ class TestPinnedCounts:
     }
 
     def requests(self):
-        return [(SystemParams(n=5, m_bn=0.5, m_nd=0.5, pb=10.0 ** (dbw / 10.0),
-                              ris_noise=not quiet), which)
-                for dbw in self.DBW for quiet in (False, True)
-                for which in ("exact", "lb", "ub")]
+        return on_links([(SystemParams(n=5, m_bn=0.5, m_nd=0.5, pb=10.0 ** (dbw / 10.0),
+                                       ris_noise=not quiet), which)
+                         for dbw in self.DBW for quiet in (False, True)
+                         for which in ("exact", "lb", "ub")])
 
     def public_counts(self, requests, cfg):
         # the public SINR functions on the same draw_realization batches
-        draws = [draw_realization(requests[0][0], mcsim._batch_rng(cfg.seed, i),
+        draws = [draw_realization(requests[0][0].params, mcsim._batch_rng(cfg.seed, i),
                                   size=size)
                  for i, size in enumerate(mcsim._batch_sizes(cfg.trials, cfg.batch))]
-        return [sum(public_count(x, y, build_noise_budget(params), which)
-                    for x, y in draws) for params, which in requests]
+        return [sum(public_count(x, y, link.budget, which)
+                    for x, y in draws) for link, which in requests]
 
     def test_counts_are_pinned(self):
         want = [c for dbw in self.DBW for row in self.PINNED[dbw] for c in row]

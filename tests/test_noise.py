@@ -1,14 +1,17 @@
+import ast
 import dataclasses
 import importlib
 import inspect
 import math
 import pkgutil
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import risnoise
 from risnoise import noise
 from risnoise.noise import (
     REFERENCE_NOISE_TABLE_DBW,
@@ -125,6 +128,20 @@ def test_path_loss():
         path_loss(0.0, 2.0)
     with pytest.raises(ValueError):
         path_loss(2.0, 2.0, phi_ref=0.0)
+
+
+def test_path_loss_is_called_only_inside_hop_powers():
+    # noise.hop_powers is the one derivation of the two hop powers; a second
+    # caller would derive them again, by its own route
+    callers = []
+    for path in sorted(Path(risnoise.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "path_loss" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    callers.append((path.name, getattr(top, "name", None)))
+    assert callers == [("noise.py", "hop_powers")] * 2
 
 
 def test_path_loss_refuses_a_result_past_the_double_range():
