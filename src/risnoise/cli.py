@@ -96,10 +96,6 @@ class SweepGrid:
     ci_level: float = McConfig.ci_level
     description: str = ""
 
-    @property
-    def mc_config(self) -> McConfig:
-        return McConfig(self.trials, self.seed, self.batch, self.ci_level)
-
 
 # libyaml's parser where PyYAML was built with it; the constructor and the
 # resolver are yaml.safe_load's either way
@@ -290,27 +286,25 @@ def _point_rows(grid: SweepGrid, value: float, links: dict, reports: dict,
 
 def run_sweep(config: str, out_path: str, *, seed: int | None = None,
               trials: int | None = None, modes: tuple[str, ...] | None = None,
-              workers: int | None = None) -> int:
-    """Evaluate a sweep config and write the CSV; returns the row count.
+              workers: int | None = None, gnuplot: str | None = None) -> int:
+    """Evaluate a sweep config and write its CSV, and the gnuplot script if
+    `gnuplot` names one; returns the row count.  `risnoise sweep` runs it.
 
-    Every Monte Carlo row of the sweep goes to one estimate_outages call,
-    which spreads the batches of each fading key over `workers` threads
-    (RISNOISE_WORKERS when None, default 1).  Analytic rows run on the
-    calling thread.  Output depends on neither, so it is deterministic.
+    An output in no existing directory, or resolving to the config (a preset
+    too) or to the other output, is refused before any link is built.  All
+    Monte Carlo rows go to one estimate_outages call on `workers` threads
+    (RISNOISE_WORKERS when None, default 1); the output does not depend on it.
     """
-    return _write_sweep(load_grid(config, seed=seed, trials=trials, modes=modes),
-                        out_path, workers)
-
-
-def _write_sweep(grid: SweepGrid, out_path: str, workers: int | None = None,
-                 gnuplot: str | None = None) -> int:
-    # refuse an output path no file can be written to before any work;
-    # open() still reports the rest (permissions, races)
+    grid = load_grid(config, seed=seed, trials=trials, modes=modes)
+    # the sweep's files by resolved path; open() reports the rest (permissions, races)
+    taken = {os.path.realpath(_resolve_config(config)): f"the config {config}"}
     for path in filter(None, (out_path, gnuplot)):
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"{path}: not a file path in an existing directory")
-    if gnuplot and os.path.realpath(gnuplot) == os.path.realpath(out_path):
-        raise ConfigError(f"{gnuplot}: the plot script would overwrite {out_path}")
+        real = os.path.realpath(path)
+        if real in taken:
+            raise ConfigError(f"{path}: the output would overwrite {taken[real]}")
+        taken[real] = f"the CSV {path}"
     values = np.linspace(grid.start, grid.stop, grid.points)
     variants = _variants(grid)
     # every point's params, links and analytic values are built before the
@@ -323,8 +317,8 @@ def _write_sweep(grid: SweepGrid, out_path: str, workers: int | None = None,
                if analytic else {})
     requests = {(v, mode, q): (links[v, q], mode.removeprefix("mc_"))
                 for v in values for mode, q, _ in variants if mode in MC_MODES}
-    mc = dict(zip(requests, estimate_outages(list(requests.values()),
-                                             grid.mc_config, workers)))
+    mc_config = McConfig(grid.trials, grid.seed, grid.batch, grid.ci_level)
+    mc = dict(zip(requests, estimate_outages(requests.values(), mc_config, workers)))
     rows = [row for v in values for row in _point_rows(grid, v, links, reports, mc)]
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -536,9 +530,9 @@ def _cmd_table2(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    modes = None if args.modes is None else tuple(args.modes.split(","))
-    grid = load_grid(args.config, seed=args.seed, trials=args.trials, modes=modes)
-    count = _write_sweep(grid, args.out, gnuplot=args.gnuplot)
+    modes = None if args.modes is None else tuple(map(str.strip, args.modes.split(",")))
+    count = run_sweep(args.config, args.out, seed=args.seed, trials=args.trials,
+                      modes=modes, gnuplot=args.gnuplot)
     print(f"wrote {count} rows to {args.out}")
     if args.gnuplot:
         print(f"wrote plot script to {args.gnuplot}")

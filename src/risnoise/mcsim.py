@@ -50,7 +50,7 @@ from scipy import special
 from . import noise
 from .noise import NoiseBudget, SystemParams, hop_powers
 from .fading import sample_nakagami
-from .outage import build_link_model, throughput
+from .outage import LinkModel, build_link_model, throughput
 
 WORKERS_ENV = "RISNOISE_WORKERS"
 
@@ -111,9 +111,8 @@ def draw_realization(params: SystemParams, rng: np.random.Generator,
     the estimators depend on it.  The |g_bn| draws are held in full; the
     |g_nd| draws follow in row blocks, reduced as they come.
     """
-    k = 1 if size is None else int(size)
-    if k < 1:
-        raise ValueError(f"size must be positive, got {size!r}")
+    k = 1 if size is None else size
+    noise.check(size=k)
     n = params.n
     om_bn, om_nd = hop_powers(params)
     a = sample_nakagami(rng, params.m_bn, om_bn, size=(k, n))
@@ -265,6 +264,10 @@ def estimate_outages(requests, config: McConfig = McConfig(),
     rows = min(config.batch, config.trials)
     groups: dict[tuple, tuple] = {}
     for i, (link, which) in enumerate(requests):
+        if not isinstance(link, LinkModel):
+            raise ValueError(f"requests: (LinkModel, selector) pairs required, got a "
+                             f"{type(link).__name__}; build_link_model(params) builds "
+                             "the link")
         params = link.params
         if which not in SELECTORS:
             raise ValueError(f"which must be one of {SELECTORS}, got {which!r}")

@@ -74,6 +74,8 @@ RULES = {
                "integer >= 1000 required (for a confidence interval)"),
     "seed": (_INT, 0, 2 ** 64 - 1, "unsigned 64-bit integer required"),
     "batch": (_INT, 1, _MAX, "positive integer required"),
+    # the draw count of mcsim.draw_realization
+    "size": (_INT, 1, _MAX, "positive integer required"),
     "ci_level": (_REAL, _ABOVE_0, _BELOW_1, "must lie in (0, 1)"),
 }
 

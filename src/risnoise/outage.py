@@ -444,10 +444,17 @@ def outage_reports(links, modes=tuple(ANALYTIC_MODES)) -> list[OutageReport]:
     (link, ups), analytic_ub the pairs (link, 2*ups), asymptotic none.  A
     link whose doubled threshold is past the double range refuses an
     analytic_ub call before anything is evaluated."""
+    if isinstance(modes, str):
+        raise ValueError(f"modes: a tuple of mode names required, got the string "
+                         f"{modes!r}; write ({modes!r},)")
     unknown = [m for m in modes if m not in ANALYTIC_MODES]
     if unknown:
         raise ValueError(f"unknown analytic mode {unknown[0]!r}")
     links = list(links)
+    for link in links:
+        if not isinstance(link, LinkModel):
+            raise ValueError(f"links: LinkModel required, got a {type(link).__name__}; "
+                             "build_link_model(params) builds the link")
     lb, ub = "analytic_lb" in modes, "analytic_ub" in modes
     pairs = [(link, link.budget.ups_th) for link in links if lb] \
         + [(link, _doubled_threshold(link)) for link in links if ub]

@@ -676,6 +676,86 @@ class TestMain:
             assert err.startswith("error:") and out in err and script in err
             assert not (tmp_path / "x.csv").exists()
 
+    @staticmethod
+    def overwrite_cases(tmp_path):
+        # (--config, the flag aimed at the config, that output's path);
+        # relative paths are read from tmp_path
+        config = tmp_path / "sweep.yaml"
+        config.write_text(SMALL_SWEEP, encoding="utf-8")
+        link = tmp_path / "link.yaml"
+        link.symlink_to(config)
+        return [(str(config), "--out", str(config)),
+                (str(config), "--gnuplot", str(config)),
+                ("sweep.yaml", "--out", str(config)),
+                (str(config), "--gnuplot", "sweep.yaml"),
+                (str(link), "--out", str(config)),
+                (str(config), "--out", str(link))]
+
+    def test_sweep_output_onto_its_config_exits_2(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # the CSV or the plot script replaced the config, and the sweep
+        # exited 0
+        def not_evaluated(*args, **kwargs):
+            raise AssertionError("the sweep was evaluated")
+
+        monkeypatch.setattr(cli, "outage_reports", not_evaluated)
+        monkeypatch.chdir(tmp_path)
+        for config, flag, path in self.overwrite_cases(tmp_path):
+            paths = {"--out": "x.csv", "--gnuplot": "x.gp", flag: path}
+            assert main(["sweep", "--config", config, "--modes", "analytic_lb",
+                         *itertools.chain(*paths.items())]) == 2, (config, flag, path)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ") and f"config {config}" in err
+            assert (tmp_path / "sweep.yaml").read_text(encoding="utf-8") == SMALL_SWEEP
+            assert not (tmp_path / "x.csv").exists()
+
+    def test_run_sweep_onto_its_config_is_refused_before_evaluating(
+            self, tmp_path, monkeypatch):
+        def not_evaluated(*args, **kwargs):
+            raise AssertionError("the sweep was evaluated")
+
+        monkeypatch.setattr(cli, "outage_reports", not_evaluated)
+        monkeypatch.chdir(tmp_path)
+        for config, flag, path in self.overwrite_cases(tmp_path):
+            out, script = (path, None) if flag == "--out" else ("x.csv", path)
+            with pytest.raises(ConfigError) as err:
+                run_sweep(config, out, modes=("analytic_lb",), gnuplot=script)
+            assert str(err.value) == \
+                f"{path}: the output would overwrite the config {config}"
+            assert (tmp_path / "sweep.yaml").read_text(encoding="utf-8") == SMALL_SWEEP
+            assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--gnuplot"])
+    def test_sweep_output_onto_a_preset_given_by_name_exits_2(
+            self, tmp_path, capsys, monkeypatch, flag):
+        # the sweep overwrote the bundled preset, and `risnoise presets`
+        # failed after it; the presets here are a copy
+        presets = tmp_path / "presets"
+        presets.mkdir()
+        for entry in cli._preset_dir().iterdir():
+            if entry.name.endswith(".yaml"):
+                (presets / entry.name).write_bytes(entry.read_bytes())
+        monkeypatch.setattr(cli, "_preset_dir", lambda: presets)
+        monkeypatch.chdir(tmp_path)
+        target = presets / "fig1_n5.yaml"
+        before = target.read_bytes()
+        paths = {"--out": "x.csv", "--gnuplot": "x.gp", flag: str(target)}
+        assert main(["sweep", "--config", "fig1_n5", "--modes", "analytic_lb",
+                     *itertools.chain(*paths.items())]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {target}: the output would overwrite the config fig1_n5\n"
+        assert target.read_bytes() == before
+        assert main(["presets"]) == 0
+        assert "fig1_n5" in capsys.readouterr().out
+
+    def test_sweep_modes_override_with_spaces(self, tmp_path, capsys):
+        # " asymptotic" was an unknown mode
+        config = write_config(tmp_path, SMALL_SWEEP)
+        out = str(tmp_path / "out.csv")
+        assert main(["sweep", "--config", config, "--out", out,
+                     "--modes", " analytic_lb , asymptotic"]) == 0
+        assert {r[1] for r in read_rows(out)[1:]} == {"analytic_lb", "asymptotic"}
+
     @pytest.mark.parametrize("entry, key", [
         # a truthy string switched the surface noise on and exited 0
         ("ris_noise: \"no\"", "ris_noise"),
@@ -819,6 +899,46 @@ class TestMain:
         monkeypatch.setattr(noise, "BOLTZMANN", noise.BOLTZMANN * 1.01)
         assert main(["validate", "--level", "fast"]) == 1
         assert "FAIL table2" in capsys.readouterr().out
+
+
+class TestSweepRoute:
+    """run_sweep is the one route from a config to its CSV and plot script."""
+
+    def test_the_sweep_command_runs_through_run_sweep_once(self, tmp_path,
+                                                           capsys, monkeypatch):
+        calls = []
+
+        def recorder(*args, **kwargs):
+            calls.append((args, kwargs))
+            return 6
+
+        def not_loaded(*args, **kwargs):
+            raise AssertionError("the sweep command loaded the grid itself")
+
+        monkeypatch.setattr(cli, "run_sweep", recorder)
+        monkeypatch.setattr(cli, "load_grid", not_loaded)
+        config = write_config(tmp_path, SMALL_SWEEP)
+        out, script = str(tmp_path / "x.csv"), str(tmp_path / "x.gp")
+        assert main(["sweep", "--config", config, "--out", out, "--seed", "3",
+                     "--trials", "2000", "--modes", "analytic_lb, mc_exact",
+                     "--gnuplot", script]) == 0
+        assert calls == [((config, out), {"seed": 3, "trials": 2000,
+                                          "modes": ("analytic_lb", "mc_exact"),
+                                          "gnuplot": script})]
+        assert capsys.readouterr().out == \
+            f"wrote 6 rows to {out}\nwrote plot script to {script}\n"
+
+    def test_only_run_sweep_builds_rows_or_plot_scripts(self):
+        # a second route from a config to its files would name one of these
+        writers = {"_point_rows", "write_gnuplot_script"}
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        users = set()
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and node.id in writers \
+                        or isinstance(node, ast.Attribute) and node.attr in writers:
+                    users.add(getattr(stmt, "name", "<module>"))
+        assert users == {"run_sweep"}
 
 
 class TestModeTable:

@@ -81,6 +81,12 @@ class TestDrawRealization:
         with pytest.raises(ValueError):
             draw_realization(SystemParams(), rng_for(), size=0)
 
+    @pytest.mark.parametrize("size", [2.5, True, np.float64(3.0), "4"])
+    def test_size_must_be_a_positive_int(self, size):
+        # 2.5 drew 2 rows and True drew 1
+        with pytest.raises(ValueError, match=r"^size: "):
+            draw_realization(SystemParams(), rng_for(), size=size)
+
     def test_a_refused_hop_names_its_fields(self):
         with pytest.raises(ValueError, match=r"^d_nd, tau_nd, phi_ref: distance: "):
             draw_realization(SystemParams(d_nd=1e-300), rng_for())
@@ -418,6 +424,19 @@ class TestEstimateOutage:
                                              r"the cascade moments are refused"):
             estimate_throughput(SystemParams(d_bn=1e100, d_nd=1e100),
                                 McConfig(trials=1_000))
+
+    def test_a_params_request_is_refused_before_any_draw(self, monkeypatch):
+        # the (SystemParams, selector) form failed with an AttributeError
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew a batch of a refused request")
+
+        monkeypatch.setattr(mcsim, "draw_realization", refuse)
+        link = build_link_model(SystemParams())
+        with pytest.raises(ValueError, match=r"^requests: \(LinkModel, selector\) "
+                                             r"pairs required, got a SystemParams; "
+                                             r"build_link_model\(params\)"):
+            estimate_outages([(link, "ub"), (SystemParams(), "ub")],
+                             McConfig(trials=1_000))
 
     def test_config_rejections(self):
         for kwargs in ({"trials": 999}, {"trials": 10_000, "batch": 0},

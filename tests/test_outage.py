@@ -536,6 +536,18 @@ class TestOutageReports:
     def test_no_links(self):
         assert outage_reports([]) == []
 
+    def test_params_are_refused_by_the_link_form(self):
+        # the raw params failed with an AttributeError on 'budget'
+        with pytest.raises(ValueError, match=r"^links: LinkModel required, got a "
+                                             r"SystemParams; build_link_model\(params\)"):
+            outage_reports([link_at(-64.0), SystemParams()])
+
+    def test_a_bare_string_of_modes_is_refused_by_name(self):
+        # the string was walked a character at a time: unknown mode 'a'
+        with pytest.raises(ValueError, match=r"^modes: a tuple of mode names "
+                                             r"required, .*; write \('analytic_lb',\)$"):
+            outage_reports([link_at(-64.0)], "analytic_lb")
+
     # the fields each analytic mode sets; the rest ride along with every mode
     MODE_FIELDS = {"analytic_lb": {"xi1", "xi2", "outage_lb", "throughput"},
                    "analytic_ub": {"outage_ub"}, "asymptotic": {"outage_asym"}}
