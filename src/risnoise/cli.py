@@ -284,27 +284,38 @@ def _point_rows(grid: SweepGrid, value: float, links: dict, reports: dict,
     return rows
 
 
+def _file_identity(path: str):
+    # an existing file by device and inode, as os.path.samefile compares,
+    # so a hard link is seen; a file still to be made by its resolved path
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def run_sweep(config: str, out_path: str, *, seed: int | None = None,
               trials: int | None = None, modes: tuple[str, ...] | None = None,
               workers: int | None = None, gnuplot: str | None = None) -> int:
     """Evaluate a sweep config and write its CSV, and the gnuplot script if
     `gnuplot` names one; returns the row count.  `risnoise sweep` runs it.
 
-    An output in no existing directory, or resolving to the config (a preset
-    too) or to the other output, is refused before any link is built.  All
-    Monte Carlo rows go to one estimate_outages call on `workers` threads
-    (RISNOISE_WORKERS when None, default 1); the output does not depend on it.
+    An output in no existing directory, or that is the config (a preset too)
+    or the other output, by a symlink, a hard link or another spelling, is
+    refused before any link is built.  All Monte Carlo rows go to one
+    estimate_outages call on `workers` threads (RISNOISE_WORKERS when None,
+    default 1); the output does not depend on it.
     """
     grid = load_grid(config, seed=seed, trials=trials, modes=modes)
-    # the sweep's files by resolved path; open() reports the rest (permissions, races)
-    taken = {os.path.realpath(_resolve_config(config)): f"the config {config}"}
+    # the sweep's files by identity; open() reports the rest (permissions, races)
+    taken = {_file_identity(_resolve_config(config)): f"the config {config}"}
     for path in filter(None, (out_path, gnuplot)):
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"{path}: not a file path in an existing directory")
-        real = os.path.realpath(path)
-        if real in taken:
-            raise ConfigError(f"{path}: the output would overwrite {taken[real]}")
-        taken[real] = f"the CSV {path}"
+        identity = _file_identity(path)
+        if identity in taken:
+            raise ConfigError(f"{path}: the output would overwrite {taken[identity]}")
+        taken[identity] = f"the CSV {path}"
     values = np.linspace(grid.start, grid.stop, grid.points)
     variants = _variants(grid)
     # every point's params, links and analytic values are built before the

@@ -24,17 +24,22 @@ size, is not part of the seeding contract: it changes no drawn bit.
 
 estimate_outages takes (link, selector) requests on outage.LinkModel links
 and groups them by fading key (what the draws depend on: n, the two shapes
-and the two hop powers); each (fading key, batch index) job draws once and
-counts every request of the key against its link's noise budget.  These
-jobs are the only parallel work in the package, run by RISNOISE_WORKERS
-threads (default 1).  estimate_outage builds its link before any draw.
+and the two hop powers).  Every key reads batch `index` from the same
+stream, and key n's draw is its first 2*batch*n Gamma variates, scaled per
+hop; so keys with equal shapes read one stream whatever their n, and keys
+with unequal shapes one stream per n.  Each (stream group, batch index)
+job draws that stream once, as far as its largest key needs, and counts
+every request of every key against its link's noise budget.  These jobs
+are the only parallel work in the package, run by RISNOISE_WORKERS threads
+(default 1).  estimate_outage builds its link before any draw.
 
-Counting walks the drawn X and Y in cache-sized blocks of trials.  Per block
-it checks X, Y >= 0 once, forms lam*Y once per distinct lam (lam does not
-depend on the transmit power, so a power axis shares it), and per request
-forms only the selected SINR and counts the draws below the threshold; the
-block counts add up to the batch count.  sinr_exact and sinr_bounds are the
-same check and the same SINR helper over whole arrays.
+Counting follows the draw block by block, so no X or Y array of batch
+length is held.  Per block it checks X, Y >= 0 once, forms lam*Y once per
+distinct lam (lam does not depend on the transmit power, so a power axis
+shares it), and per request forms only the selected SINR and counts the
+draws below the threshold; the block counts add up to the batch count.
+sinr_exact and sinr_bounds are the same check and the same SINR helper
+over whole arrays.
 """
 from __future__ import annotations
 
@@ -58,14 +63,11 @@ WORKERS_ENV = "RISNOISE_WORKERS"
 # by the exact binomial one
 _NORMAL_CI_MIN_COUNT = 30
 
-# receiver-hop amplitudes drawn per block (512 KiB).  Blocking changes no
-# bit: numpy's gamma fill is element-sequential, so successive blocks
-# continue one stream, and every reduction is per row.
+# receiver-hop amplitudes drawn, reduced and counted per block (512 KiB).
+# Blocking changes no bit: numpy's gamma fill is element-sequential, so
+# successive blocks continue one stream, every reduction is per row, and
+# block counts add up.
 _BLOCK_AMPLITUDES = 2 ** 16
-
-# drawn trials counted per block: one block's temporaries stay in cache.
-# Like the block above, it changes no count.
-_COUNT_BLOCK = 2 ** 14
 
 
 class ConfigError(ValueError):
@@ -103,28 +105,89 @@ class ThroughputEstimate:
     trials_used: int
 
 
+def _stream_blocks(rng: np.random.Generator, m_bn: float, m_nd: float,
+                   keys, size: int):
+    """Yield (j, rows, x, y): X and Y over a block of rows of keys[j].
+
+    keys are (n, omega_bn, omega_nd) triples that read one stream: key j's
+    |g_bn| rows are Gamma(m_bn) variates 0 to size*n - 1, scaled by
+    omega_bn/m_bn and rooted, and its |g_nd| rows the Gamma(m_nd) variates
+    size*n to 2*size*n - 1.  So the keys must share their shapes, and their
+    n too unless m_bn == m_nd.  The stream is drawn once, to 2*size*n_max: a
+    head of size*n_max Gamma(m_bn) variates holds every |g_bn| row (and, at
+    equal shapes, the |g_nd| rows of each key with 2n <= n_max); the rest
+    comes in chunks of whole n_max rows, about _BLOCK_AMPLITUDES, which every
+    key still reading takes in lockstep, carrying its partial row over.
+    A single key draws through sample_nakagami, its scale inside the gamma
+    call, so its head is its |g_bn| amplitudes.
+    """
+    n_max = max(n for n, _, _ in keys)
+    fused = len(keys) == 1
+    if fused:
+        (_, om_bn, om_nd), = keys
+        head = sample_nakagami(rng, m_bn, om_bn, size=size * n_max)
+        tail = lambda count: sample_nakagami(rng, m_nd, om_nd, size=count)
+    else:
+        head = rng.standard_gamma(m_bn, size=size * n_max)
+        tail = lambda count: rng.standard_gamma(m_nd, size=count)
+
+    def amplitudes(w, m, omega):
+        # omega/m * w, rooted: the bits of sample_nakagami's scaled draw
+        if fused:
+            return w
+        w = w * (omega / m)
+        return np.sqrt(w, out=w)
+
+    def reduce(j, lo, w_nd):
+        n, om_bn, om_nd = keys[j]
+        rows = slice(lo, lo + w_nd.size // n)
+        a = amplitudes(head[rows.start * n:rows.stop * n], m_bn, om_bn).reshape(-1, n)
+        b = amplitudes(w_nd, m_nd, om_nd).reshape(-1, n)
+        d = (a * b).sum(axis=1)
+        return j, rows, d * d, (b * b).sum(axis=1)
+
+    done, carry = [], []   # per key: |g_nd| rows reduced, the partial row after them
+    for j, (n, _, _) in enumerate(keys):
+        start = size * n
+        in_head = min(size, size * (n_max - n) // n)
+        step = max(1, _BLOCK_AMPLITUDES // n)
+        for lo in range(0, in_head, step):
+            hi = min(lo + step, in_head)
+            yield reduce(j, lo, head[start + lo * n:start + hi * n])
+        done.append(in_head)
+        carry.append(head[start + in_head * n:2 * start])
+    chunk = max(1, _BLOCK_AMPLITUDES // n_max) * n_max
+    for pos in range(size * n_max, 2 * size * n_max, chunk):
+        w = tail(min(chunk, 2 * size * n_max - pos))
+        for j, (n, _, _) in enumerate(keys):
+            if done[j] == size:
+                continue
+            taken = w[:2 * size * n - pos]
+            if carry[j].size:
+                taken = np.concatenate((carry[j], taken))
+            whole = taken.size // n * n
+            yield reduce(j, done[j], taken[:whole])
+            done[j] += whole // n
+            carry[j] = taken[whole:]
+
+
 def draw_realization(params: SystemParams, rng: np.random.Generator,
                      size: int | None = None):
     """Sample the combined signal power X and the surface power sum Y.
 
     The same |g_nd| draws feed both X and Y; that coupling is physical and
     the estimators depend on it.  The |g_bn| draws are held in full; the
-    |g_nd| draws follow in row blocks, reduced as they come.
+    |g_nd| draws follow in row blocks, reduced as they come.  This is the
+    one-key case of the drawer every Monte Carlo batch runs through.
     """
     k = 1 if size is None else size
     noise.check(size=k)
-    n = params.n
-    om_bn, om_nd = hop_powers(params)
-    a = sample_nakagami(rng, params.m_bn, om_bn, size=(k, n))
     x = np.empty(k)
     y = np.empty(k)
-    rows = max(1, _BLOCK_AMPLITUDES // n)
-    for lo in range(0, k, rows):
-        block = slice(lo, min(lo + rows, k))
-        b = sample_nakagami(rng, params.m_nd, om_nd, size=(block.stop - lo, n))
-        d = (a[block] * b).sum(axis=1)
-        x[block] = d * d
-        y[block] = (b * b).sum(axis=1)
+    for _, rows, xb, yb in _stream_blocks(rng, params.m_bn, params.m_nd,
+                                          [(params.n, *hop_powers(params))], k):
+        x[rows] = xb
+        y[rows] = yb
     if size is None:
         return float(x[0]), float(y[0])
     return x, y
@@ -189,21 +252,27 @@ def _batch_rng(seed: int, index: int) -> np.random.Generator:
         np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _count_batch(params: SystemParams, counted, seed: int, index: int,
-                 size: int) -> list[tuple[int, int]]:
-    # one draw of batch `index`; (request, outage count) per counted request
-    x, y = draw_realization(params, _batch_rng(seed, index), size=size)
+def _outage_counts(x, y, counted) -> list[int]:
+    """Draws whose selected SINR is below the threshold, per (budget, which)."""
+    _check_powers(x, y)
     # -0.0 and 0.0 share a key: _noise_term gives both the same lam*Y
-    lams = {budget.lam for _, budget, _ in counted}
-    counts = [0] * len(counted)
-    for lo in range(0, size, _COUNT_BLOCK):
-        xb, yb = x[lo:lo + _COUNT_BLOCK], y[lo:lo + _COUNT_BLOCK]
-        _check_powers(xb, yb)
-        lam_y = {lam: _noise_term(lam, yb) for lam in lams}
-        for j, (_, budget, which) in enumerate(counted):
-            sinr = _sinr(budget.psi * xb, lam_y[budget.lam], which)
-            counts[j] += int(np.count_nonzero(sinr < budget.ups_th))
-    return [(i, c) for (i, _, _), c in zip(counted, counts)]
+    lam_y = {lam: _noise_term(lam, y) for lam in {budget.lam for budget, _ in counted}}
+    return [int(np.count_nonzero(_sinr(budget.psi * x, lam_y[budget.lam], which)
+                                 < budget.ups_th)) for budget, which in counted]
+
+
+def _count_job(m_bn: float, m_nd: float, keys: dict, seed: int, index: int,
+               size: int) -> list[tuple[int, int]]:
+    # batch `index` of one stream group, drawn once for all its fading keys;
+    # keys maps (n, omega_bn, omega_nd) to its request indices and their
+    # (budget, which) pairs.  Returns (request, outage count) pairs.
+    requests = list(keys.values())
+    counts = [[0] * len(ids) for ids, _ in requests]
+    for j, _, x, y in _stream_blocks(_batch_rng(seed, index), m_bn, m_nd,
+                                     list(keys), size):
+        for c, got in enumerate(_outage_counts(x, y, requests[j][1])):
+            counts[j][c] += got
+    return [pair for (ids, _), got in zip(requests, counts) for pair in zip(ids, got)]
 
 
 def binomial_ci(successes: int, trials: int, level: float) -> tuple[float, float]:
@@ -247,8 +316,8 @@ def _worker_count(workers: int | None) -> int:
 # worker can count on (200 GB at n = 1e5), so the key is refused instead.
 _MAX_BATCH_AMPLITUDES = 2 ** 27
 
-# a (fading key, batch) job's tuple, future and work item take about 1.8 kB on
-# the pool path: 2**19 jobs hold 0.9 GiB before any draw, and more are refused
+# a (stream group, batch) job's tuple, future and work item take about 1.8 kB
+# on the pool path: 2**19 jobs hold 0.9 GiB before any draw, and more are refused
 _MAX_JOBS = 2 ** 19
 
 
@@ -256,13 +325,13 @@ def estimate_outages(requests, config: McConfig = McConfig(),
                      workers: int | None = None) -> list[McEstimate]:
     """One estimate per (link, which) request, in request order.
 
-    Requests whose links share a fading key share each batch's draw; each
+    Requests whose links share a stream group share each batch's draw; each
     gets exactly the counts estimate_outage would give its link alone.
     """
     workers = _worker_count(workers)
     requests = list(requests)
     rows = min(config.batch, config.trials)
-    groups: dict[tuple, tuple] = {}
+    streams: dict[tuple, dict] = {}
     for i, (link, which) in enumerate(requests):
         if not isinstance(link, LinkModel):
             raise ValueError(f"requests: (LinkModel, selector) pairs required, got a "
@@ -276,21 +345,27 @@ def estimate_outages(requests, config: McConfig = McConfig(),
                 f"n, batch: a batch of {rows} draws at n = {params.n} holds "
                 f"{rows * params.n} transmitter-hop amplitudes, past the cap of "
                 f"{_MAX_BATCH_AMPLITUDES} (1 GiB); lower batch")
-        key = (params.n, params.m_bn, params.m_nd, link.omega_bn, link.omega_nd)
-        groups.setdefault(key, (params, []))[1].append((i, link.budget, which))
-    per_key = -(-config.trials // config.batch)
-    if len(groups) * per_key > _MAX_JOBS:
-        raise ConfigError(f"trials, batch: {len(groups)} fading key(s) x {per_key} "
-                          f"batches make {len(groups) * per_key} jobs, past the cap "
-                          f"of {_MAX_JOBS}; lower trials or raise batch")
+        # keys with equal shapes read one Gamma stream whatever their n
+        stream = (params.m_bn, params.m_nd,
+                  None if params.m_bn == params.m_nd else params.n)
+        key = (params.n, link.omega_bn, link.omega_nd)
+        ids, counted = streams.setdefault(stream, {}).setdefault(key, ([], []))
+        ids.append(i)
+        counted.append((link.budget, which))
+    per_group = -(-config.trials // config.batch)
+    if len(streams) * per_group > _MAX_JOBS:
+        raise ConfigError(f"trials, batch: {len(streams)} stream group(s) x "
+                          f"{per_group} batches make {len(streams) * per_group} "
+                          f"jobs, past the cap of {_MAX_JOBS}; lower trials or "
+                          "raise batch")
     sizes = list(enumerate(_batch_sizes(config.trials, config.batch)))
-    jobs = [(params, counted, config.seed, index, size)
-            for params, counted in groups.values() for index, size in sizes]
+    jobs = [(m_bn, m_nd, keys, config.seed, index, size)
+            for (m_bn, m_nd, _), keys in streams.items() for index, size in sizes]
     if workers == 1 or len(jobs) <= 1:
-        per_job = [_count_batch(*job) for job in jobs]
+        per_job = [_count_job(*job) for job in jobs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_job = list(pool.map(lambda job: _count_batch(*job), jobs))
+            per_job = list(pool.map(lambda job: _count_job(*job), jobs))
     successes = [0] * len(requests)
     for counts in per_job:
         for i, c in counts:

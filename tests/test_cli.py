@@ -4,6 +4,7 @@ import csv
 import hashlib
 import itertools
 import math
+import os
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -340,6 +341,25 @@ class TestSweepCsv:
         run_sweep(config, pooled, workers=3)
         with open(out, "rb") as a, open(pooled, "rb") as b:
             assert a.read() == b.read()
+
+    @pytest.mark.parametrize("shapes, digest", [
+        ("", "36c991962487b7c042e7f76c5f07d38487863f702faded543520af039ce66cbf"),
+        (", m_bn: 1.5, m_nd: 2.5",
+         "6f52b2551e0da9825c7310dad81d4d8484f4ec5da2f847f51282ffb835c4fa5d"),
+    ])
+    def test_element_sweep_is_pinned_on_any_worker_count(self, tmp_path, shapes,
+                                                        digest):
+        # five fading keys over three batches: at equal shapes one stream
+        # serves them all, at unequal shapes each n has its own
+        config = write_config(tmp_path, "axis: element_count\nstart: 4\nstop: 24\n"
+                                        "points: 5\nfixed: {d_nd: 5.0, pb_dbw: -60.0"
+                                        f"{shapes}}}\nmodes: [mc_exact, mc_ub, "
+                                        "noiseless_variant]\ntrials: 3000\n"
+                                        "batch: 1000\nseed: 11\n")
+        for workers in (1, 2, 3):
+            out = tmp_path / f"elements{workers}.csv"
+            assert run_sweep(config, str(out), workers=workers) == 20
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, workers
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_every_mode_sweep_is_pinned(self, tmp_path, workers):
@@ -725,6 +745,34 @@ class TestMain:
             assert (tmp_path / "sweep.yaml").read_text(encoding="utf-8") == SMALL_SWEEP
             assert not (tmp_path / "x.csv").exists()
 
+    def test_sweep_output_onto_a_hard_link_exits_2(self, tmp_path, capsys):
+        # the resolved paths differ, so the CSV replaced the config, and the
+        # plot script an earlier CSV, and the sweep exited 0
+        config = tmp_path / "s.yaml"
+        config.write_text(SMALL_SWEEP, encoding="utf-8")
+        os.link(config, tmp_path / "h.yaml")
+        old = tmp_path / "old.csv"
+        old.write_text("kept\n", encoding="utf-8")
+        os.link(old, tmp_path / "old.gp")
+        for out, script, names in (
+                ("h.yaml", None, "the config"),
+                ("x.csv", "h.yaml", "the config"),
+                ("old.csv", "old.gp", "the CSV")):
+            out = str(tmp_path / out)
+            paths = [str(config) if names == "the config" else out]
+            argv = ["sweep", "--config", str(config), "--out", out,
+                    "--modes", "analytic_lb"]
+            if script:
+                script = str(tmp_path / script)
+                argv += ["--gnuplot", script]
+            assert main(argv) == 2, (out, script)
+            assert capsys.readouterr().err == (
+                f"error: {script or out}: the output would overwrite {names} "
+                f"{paths[0]}\n")
+            assert config.read_text(encoding="utf-8") == SMALL_SWEEP
+            assert old.read_text(encoding="utf-8") == "kept\n"
+            assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("flag", ["--out", "--gnuplot"])
     def test_sweep_output_onto_a_preset_given_by_name_exits_2(
             self, tmp_path, capsys, monkeypatch, flag):
@@ -797,7 +845,7 @@ class TestMain:
         # job plan of 4e18 Monte Carlo batches before its first draw
         ("points: 1000000000000000000\n", "points: integer in [2, 1000000]"),
         ("trials: 1000000000000000000000000\nmodes: [mc_exact]\n",
-         "error: trials, batch: 1 fading key(s) x 4000000000000000000 batches"),
+         "error: trials, batch: 1 stream group(s) x 4000000000000000000 batches"),
         # the cascade shape overflowed, then its mean underflowed to 0: both
         # were refused under gamma_approx's argument names mu and sigma2
         ("fixed: {m_bn: 1.7976931348623157e+308, m_nd: 1.7976931348623157e+308}\n",

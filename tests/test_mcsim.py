@@ -1,14 +1,17 @@
+import ast
 import hashlib
 import itertools
 import math
 import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_equal
 
+import risnoise
 from risnoise import mcsim
 from risnoise.fading import cascade_moments, sample_nakagami
 from risnoise.mcsim import (
@@ -23,7 +26,7 @@ from risnoise.mcsim import (
     sinr_bounds,
     sinr_exact,
 )
-from risnoise.noise import SystemParams, build_noise_budget, path_loss
+from risnoise.noise import SystemParams, build_noise_budget, hop_powers, path_loss
 from risnoise.outage import build_link_model, xi2
 
 
@@ -143,6 +146,102 @@ class TestBlockedDraw:
         assert peak <= 1.25 * cfg.batch * params.n * 8
 
 
+def group_draws(keys, m_bn, m_nd, size):
+    # X and Y of every key of a stream group, assembled from its blocks of
+    # batch 3 at seed 5; each row must come exactly once
+    out = [(np.full(size, np.nan), np.full(size, np.nan)) for _ in keys]
+    seen = [np.zeros(size, dtype=int) for _ in keys]
+    for j, rows, x, y in mcsim._stream_blocks(mcsim._batch_rng(5, 3),
+                                              m_bn, m_nd, keys, size):
+        out[j][0][rows], out[j][1][rows] = x, y
+        seen[j][rows] += 1
+    assert all(np.all(s == 1) for s in seen)
+    return out
+
+
+class TestStreamGroups:
+    """One draw of a batch's stream serves every fading key that reads it."""
+
+    SIZE = 300
+
+    # (n, d_bn, d_nd): at equal shapes n = 3 reads its receiver hop from the
+    # head (2n < n_max), n = 6 ends there exactly (2n = n_max), n = 8
+    # straddles it (n_max/2 < n < n_max); equal n at other hop powers read
+    # the same variates.  Unequal shapes share a stream only at one n.
+    EQUAL = ((3, 2.0, 2.0), (6, 2.0, 2.0), (8, 2.0, 2.0), (8, 3.0, 1.5),
+             (12, 2.0, 2.0), (12, 1.0, 7.0))
+    ONE_N = ((6, 1.0, 1.0), (6, 2.0, 2.0), (6, 4.0, 4.0))
+
+    @pytest.mark.parametrize("m_bn, m_nd, hops",
+                             [(0.7, 0.7, EQUAL), (2.0, 2.0, EQUAL), (1.5, 2.5, ONE_N)])
+    def test_every_key_matches_its_own_draw(self, monkeypatch, m_bn, m_nd, hops):
+        params = [SystemParams(n=n, m_bn=m_bn, m_nd=m_nd, d_bn=d_bn, d_nd=d_nd)
+                  for n, d_bn, d_nd in hops]
+        keys = [(p.n, *hop_powers(p)) for p in params]
+        want = []
+        for p in params:
+            x, y = draw_realization(p, mcsim._batch_rng(5, 3), size=self.SIZE)
+            want.append((x.view(np.uint64), y.view(np.uint64)))
+        # one row of the largest key, a prime row count, the whole batch
+        n_max = max(p.n for p in params)
+        for rows in (1, 7, self.SIZE):
+            monkeypatch.setattr(mcsim, "_BLOCK_AMPLITUDES", rows * n_max)
+            got = group_draws(keys, m_bn, m_nd, self.SIZE)
+            for (x, y), (wx, wy), p in zip(got, want, params):
+                assert np.array_equal(x.view(np.uint64), wx), (rows, p.n)
+                assert np.array_equal(y.view(np.uint64), wy), (rows, p.n)
+
+    def test_a_job_draws_twice_the_batch_times_the_largest_n(self, monkeypatch):
+        # each job leaves its stream where 2*k*n_max Gamma variates leave it
+        made = []
+        original = mcsim._batch_rng
+
+        def recorded(seed, index):
+            made.append((index, original(seed, index)))
+            return made[-1][1]
+
+        monkeypatch.setattr(mcsim, "_batch_rng", recorded)
+        requests = on_links([(SystemParams(n=n, pb=1e-7), "exact") for n in (3, 8, 12)])
+        cfg = McConfig(trials=2_500, seed=4, batch=1_000)
+        estimate_outages(requests, cfg)
+        assert [index for index, _ in made] == [0, 1, 2]
+        for (index, rng), size in zip(made, (1_000, 1_000, 500)):
+            fresh = original(cfg.seed, index)
+            fresh.standard_gamma(2.0, size=2 * size * 12)
+            assert_equal(rng.bit_generator.state, fresh.bit_generator.state)
+
+    def test_a_group_holds_about_its_largest_hop(self):
+        # the head of batch x n_max variates is the only batch-sized array
+        requests = on_links([(SystemParams(n=n), "ub") for n in (16, 40, 64)])
+        cfg = McConfig(trials=100_000, batch=100_000)
+        estimate_outages(requests, McConfig(trials=1_000, batch=1_000))
+        tracemalloc.start()
+        try:
+            estimate_outages(requests, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * cfg.batch * 64 * 8
+
+    def test_only_the_drawer_and_sample_nakagami_call_the_gamma_fill(self):
+        # a second caller would draw a batch's stream again, by its own route
+        callers = []
+        for path in sorted(Path(risnoise.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            modules = {alias.asname or alias.name for node in ast.walk(tree)
+                       if isinstance(node, (ast.Import, ast.ImportFrom))
+                       for alias in node.names}
+            for top in tree.body:
+                for node in ast.walk(top):
+                    func = getattr(node, "func", None)
+                    if isinstance(node, ast.Call) and isinstance(func, ast.Attribute) \
+                            and func.attr in ("gamma", "standard_gamma") \
+                            and getattr(func.value, "id", None) not in modules:
+                        callers.append((path.name, getattr(top, "name", None)))
+        assert sorted(set(callers)) == [("fading.py", "sample_nakagami"),
+                                        ("mcsim.py", "_stream_blocks")]
+
+
 class TestSinr:
     def test_exact_formula(self):
         budget = build_noise_budget(SystemParams())
@@ -200,12 +299,10 @@ def where_bracket(x, y, budget):
     return np.minimum(ratio, snr)
 
 
-def kernel_counts(monkeypatch, x, y, requests):
-    # _count_batch on given powers, one count per (budget, which)
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    monkeypatch.setattr(mcsim, "draw_realization", lambda *a, **k: (x, y))
-    counted = [(i, budget, which) for i, (budget, which) in enumerate(requests)]
-    return [c for _, c in mcsim._count_batch(SystemParams(), counted, 0, 0, x.size)]
+def kernel_counts(x, y, requests):
+    # the counting kernel on given powers, one count per (budget, which)
+    return mcsim._outage_counts(np.asarray(x, dtype=float),
+                                np.asarray(y, dtype=float), requests)
 
 
 def on_links(requests):
@@ -264,7 +361,7 @@ class TestSinrEdges:
         assert sinr_bounds(math.inf, math.inf, self.NOISY) == (math.inf, math.inf)
         assert math.isnan(sinr_exact(math.inf, math.inf, self.NOISY))
 
-    def test_kernel_counts_the_edges_like_the_public_route(self, monkeypatch):
+    def test_kernel_counts_the_edges_like_the_public_route(self):
         # every pair of special powers, and draws whose SINR lands exactly
         # on the threshold: strictly below counts, equal does not
         x, y = (np.array(v) for v in zip(*itertools.product(self.SPECIAL, repeat=2)))
@@ -277,10 +374,10 @@ class TestSinrEdges:
                       0.5 * ub[(x == 1.0) & (y == 3.0)][0]):
                 at_ups.append(replace(budget, ups_th=float(v)))
         requests = [(b, w) for b in budgets + at_ups for w in ("exact", "lb", "ub")]
-        got = kernel_counts(monkeypatch, x, y, requests)
+        got = kernel_counts(x, y, requests)
         assert got == [public_count(x, y, b, w) for b, w in requests]
         # the draw exactly at the threshold is not an outage
-        assert kernel_counts(monkeypatch, [1.0], [1.0], [(at_ups[0], "exact")]) == [0]
+        assert kernel_counts([1.0], [1.0], [(at_ups[0], "exact")]) == [0]
 
 
 class TestBinomialCi:
@@ -416,7 +513,7 @@ class TestEstimateOutage:
         def refuse(*args, **kwargs):
             raise AssertionError("drew a batch of a refused link")
 
-        monkeypatch.setattr(mcsim, "draw_realization", refuse)
+        monkeypatch.setattr(mcsim, "_stream_blocks", refuse)
         with pytest.raises(ValueError, match=r"^d_bn, tau_bn, phi_ref: distance: "):
             estimate_outage(SystemParams(tau_bn=-400.0), McConfig(trials=1_000))
         # hops so weak that the cascade moments underflow to 0
@@ -430,7 +527,7 @@ class TestEstimateOutage:
         def refuse(*args, **kwargs):
             raise AssertionError("drew a batch of a refused request")
 
-        monkeypatch.setattr(mcsim, "draw_realization", refuse)
+        monkeypatch.setattr(mcsim, "_stream_blocks", refuse)
         link = build_link_model(SystemParams())
         with pytest.raises(ValueError, match=r"^requests: \(LinkModel, selector\) "
                                              r"pairs required, got a SystemParams; "
@@ -471,13 +568,13 @@ class TestEstimateOutages:
         cfg = McConfig(trials=20_000, seed=9, batch=6_000)
         separate = [estimate_outage(p, cfg, which=w) for p, w in requests]
         draws = []
-        original = mcsim.draw_realization
+        original = mcsim._stream_blocks
 
         def counted(*args, **kwargs):
             draws.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(mcsim, "draw_realization", counted)
+        monkeypatch.setattr(mcsim, "_stream_blocks", counted)
         assert estimate_outages(on_links(requests), cfg, workers=2) == separate
         assert len(draws) == 4   # batches of 6000, 6000, 6000 and 2000
 
@@ -493,13 +590,13 @@ class TestEstimateOutages:
         separate = [estimate_outage(p, cfg, which="ub") for p in (scaled, unit)]
         assert all(0.0 < est.p_hat < 1.0 for est in separate)
         draws = []
-        original = mcsim.draw_realization
+        original = mcsim._stream_blocks
 
         def counted(*args, **kwargs):
             draws.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(mcsim, "draw_realization", counted)
+        monkeypatch.setattr(mcsim, "_stream_blocks", counted)
         assert estimate_outages([(link, "ub") for link in links], cfg) == separate
         assert len(draws) == 2   # one per batch, not one per batch and link
 
@@ -517,7 +614,7 @@ class TestEstimateOutages:
         def refuse(*args, **kwargs):
             raise AssertionError("drew a batch past the cap")
 
-        monkeypatch.setattr(mcsim, "draw_realization", refuse)
+        monkeypatch.setattr(mcsim, "_stream_blocks", refuse)
         small = (SystemParams(n=5), "ub")
         for n, cfg, rows in ((10 ** 5, McConfig(), 250_000),
                              (200_000, McConfig(trials=1_000), 1_000)):
@@ -530,18 +627,20 @@ class TestEstimateOutages:
         def refuse(*args, **kwargs):
             raise AssertionError("drew a batch of a plan past the cap")
 
-        monkeypatch.setattr(mcsim, "draw_realization", refuse)
-        with pytest.raises(ConfigError, match=r"^trials, batch: 2 fading key\(s\) x "
+        monkeypatch.setattr(mcsim, "_stream_blocks", refuse)
+        # n = 5 and 6 at equal shapes read one stream; unequal shapes, another
+        with pytest.raises(ConfigError, match=r"^trials, batch: 2 stream group\(s\) x "
                                               r"4000000000000000000 batches make "):
             estimate_outages(on_links([(SystemParams(n=5), "ub"),
-                                       (SystemParams(n=6), "lb")]),
+                                       (SystemParams(n=6), "lb"),
+                                       (SystemParams(n=6, m_bn=1.5), "lb")]),
                              McConfig(trials=10 ** 24), workers=2)
         # a plan at the cap runs; one job more is refused
-        monkeypatch.setattr(mcsim, "_count_batch", lambda *job: [])
+        monkeypatch.setattr(mcsim, "_count_job", lambda *job: [])
         monkeypatch.setattr(mcsim, "_MAX_JOBS", 4)
         assert estimate_outages(on_links([(SystemParams(), "ub")]),
                                 McConfig(trials=4_000, batch=1_000))[0].p_hat == 0.0
-        with pytest.raises(ConfigError, match=r"^trials, batch: 1 fading key\(s\) x 5 "
+        with pytest.raises(ConfigError, match=r"^trials, batch: 1 stream group\(s\) x 5 "
                                               r"batches make 5 jobs"):
             estimate_outages(on_links([(SystemParams(), "ub")]),
                              McConfig(trials=4_001, batch=1_000))
@@ -550,7 +649,7 @@ class TestEstimateOutages:
 class TestPinnedCounts:
     # the smallest Nakagami shape, where draws come nearest to 0, over a
     # power axis with noiseless twins; batches of 17,000 trials span more
-    # than one count block.  Counts taken from the per-request full-batch
+    # than one draw block.  Counts taken from the per-request full-batch
     # route, which counted each request in passes of its own.
     CFG = McConfig(trials=40_000, seed=2024, batch=17_000)
     DBW = (-71.0, -62.0, -53.0, -44.0)
@@ -590,11 +689,13 @@ class TestPinnedCounts:
         requests = self.requests()
         cfg = McConfig(trials=2_000, seed=3, batch=2_000)
         want = [c / cfg.trials for c in self.public_counts(requests, cfg)]
-        # one trial, a prime that does not divide the batch, the whole batch
-        for block in (1, 7, cfg.batch):
-            monkeypatch.setattr(mcsim, "_COUNT_BLOCK", block)
+        # counts follow the draw blocks: one trial, a prime that does not
+        # divide the batch, the whole batch
+        n = requests[0][0].params.n
+        for rows in (1, 7, cfg.batch):
+            monkeypatch.setattr(mcsim, "_BLOCK_AMPLITUDES", rows * n)
             got = estimate_outages(requests, cfg)
-            assert [e.p_hat for e in got] == want, block
+            assert [e.p_hat for e in got] == want, rows
 
 
 class TestEstimateThroughput:
