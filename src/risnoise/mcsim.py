@@ -16,11 +16,14 @@ is bit-identical no matter how many workers run the batches.  The batch
 size is therefore part of the seeding contract, not a tuning knob.  McConfig
 holds these settings and, like SystemParams, is checked when it is built.
 
-One running batch holds about batch*n*8 bytes per worker: the transmitter-hop
+One running batch holds about batch*n*8 bytes per job: the transmitter-hop
 amplitudes in full, while the receiver hop streams through blocks of about
-2**16 amplitudes; estimate_outages refuses a key whose batch would pass
-1 GiB, and a plan of over 2**19 jobs.  The block size, unlike the batch
-size, is not part of the seeding contract: it changes no drawn bit.
+2**16 amplitudes.  A helper drawing ahead for the job holds two pieces of
+about 2**18 Gamma variates of its own, never the stream (a batch of
+100,000 at n = 64 peaks at 1.2x the one hop on 2 workers, against 1.05x
+on 1).  estimate_outages refuses a key whose batch would pass 1 GiB, and a
+plan of over 2**19 jobs.  Block and piece sizes, unlike the batch size,
+are not part of the seeding contract: they change no drawn bit.
 
 estimate_outages takes (link, selector) requests on outage.LinkModel links
 and groups them by fading key (what the draws depend on: n, the two shapes
@@ -31,7 +34,13 @@ with unequal shapes one stream per n.  Each (stream group, batch index)
 job draws that stream once, as far as its largest key needs, and counts
 every request of every key against its link's noise budget.  These jobs
 are the only parallel work in the package, run by RISNOISE_WORKERS threads
-(default 1).  estimate_outage builds its link before any draw.
+(default 1).  A plan of fewer jobs than threads gives the threads it leaves
+idle (up to the CPUs the process may use) to its jobs as helpers, which
+draw later pieces of the job's stream from guessed Philox positions; the
+job stitches them in bit for bit (_gamma_stream), so the drawn bits and
+the generator's final state are those of one sequential fill whatever the
+helper count.  No more threads than RISNOISE_WORKERS run at once.
+estimate_outage builds its link before any draw.
 
 Counting follows the draw block by block, so no X or Y array of batch
 length is held.  Per block it checks X, Y >= 0 once, forms lam*Y once per
@@ -46,15 +55,15 @@ from __future__ import annotations
 import math
 import operator
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from . import noise
+from . import fading, noise
 from .noise import NoiseBudget, SystemParams, hop_powers
-from .fading import sample_nakagami
 from .outage import LinkModel, build_link_model, throughput
 
 WORKERS_ENV = "RISNOISE_WORKERS"
@@ -68,6 +77,28 @@ _NORMAL_CI_MIN_COUNT = 30
 # successive blocks continue one stream, every reduction is per row, and
 # block counts add up.
 _BLOCK_AMPLITUDES = 2 ** 16
+
+# Gamma variates per piece of a stream that one thread draws; like the
+# block size, pieces change no drawn bit
+_PIECE = 2 ** 18
+# variates the calling thread draws alone before helpers start, in parts
+# whose raw counts measure the mean and the spread of the Philox raws a
+# variate takes at the stream's shape
+_PILOT = 2 ** 14
+_PILOT_PARTS = 32
+# pieces each helper keeps in hand, so that it never waits on the caller
+_IN_HAND = 2
+# raws a helper starts before its guessed point beyond what the guess may
+# miss: a chain started mid-variate joins the exact one within about a
+# thousand raws (1,113 at most in a probe of 10,500 starts at shapes 0.5 to
+# 1e4, and over 830 in 0.1 % of them)
+_SLACK_RAWS = 1536
+# the exact chain's last variates, matched in a helper's draw
+_MATCH = 4
+
+# perfbench/tracer.py wraps the sampler under this module's name; batches
+# draw through _gamma_stream, so its spans read 0
+sample_nakagami = fading.sample_nakagami
 
 
 class ConfigError(ValueError):
@@ -105,36 +136,183 @@ class ThroughputEstimate:
     trials_used: int
 
 
+def _raw_position(state) -> int:
+    # Philox raws drawn before this state: the counter names the last block
+    # of 4 raws generated, and buffer_pos the raws of it already used
+    counter = sum(int(word) << 64 * i for i, word in enumerate(state["state"]["counter"]))
+    return 4 * (counter - 1) + state["buffer_pos"]
+
+
+def _same_state(a, b) -> bool:
+    # full bit_generator.state equality: counter, key, buffer and flags
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return a.tobytes() == b.tobytes()
+    return a == b
+
+
+def _gamma_stream(rng: np.random.Generator, shape: float, count: int, out=None,
+                  pool=None, helpers: int = 0, block: int = _BLOCK_AMPLITUDES):
+    """Yield rng's next count Gamma(shape) variates in consecutive pieces.
+
+    The pieces hold the bits of rng.standard_gamma(shape, count), and the
+    generator is left where that call leaves it.  They are slices of out
+    when it is given, else fresh arrays; no buffer is reused, so a piece
+    stays valid after the next is drawn.  Without helpers, out is filled
+    in one piece, and fresh pieces are `block` variates long.  Returns
+    (stitched, fallbacks): the helper pieces used and those the calling
+    thread drew again.
+
+    With helpers > 0 (rng must be a Philox generator; pool runs the
+    helpers' draws) and more than _PILOT variates to draw, the calling
+    thread draws a pilot of _PILOT variates, which measures the mean and
+    the spread of the raws a variate takes at this shape.  After it, each
+    helper keeps _IN_HAND pieces of _PIECE variates in hand, each drawn
+    from a raw guessed from that rate and started early enough to join the
+    exact chain first.  The calling thread draws one piece in every
+    helpers + 1 when filling out, and one in every 2*(helpers + 1) when
+    yielding fresh pieces, as its time then also goes to what is done with
+    each piece.
+
+    A helper piece is used from the first point where both chains reach
+    the same full generator state: a value match of the exact chain's last
+    _MATCH variates names the candidate point, and the helper's prefix up
+    to it, drawn again from its start, must leave the exact state.  The
+    chain then continues from the helper's final state.  A piece with no
+    such point, or one that would run past count, is drawn by the calling
+    thread.
+    """
+    done = stitched = fallbacks = 0
+
+    def own(stop):
+        nonlocal done
+        piece = np.empty(stop - done) if out is None else out[done:stop]
+        rng.standard_gamma(shape, out=piece)
+        done = stop
+        return piece
+
+    if not helpers or count <= _PILOT:
+        step = count if out is not None else block
+        while done < count:
+            yield own(min(count, done + step))
+        return stitched, fallbacks
+    bits = rng.bit_generator
+    key = bits.state["state"]["key"]
+    marks = [_raw_position(bits.state)]
+    piece = np.empty(_PILOT) if out is None else out[:_PILOT]
+    for part in np.array_split(piece, _PILOT_PARTS):
+        rng.standard_gamma(shape, out=part)
+        marks.append(_raw_position(bits.state))
+    done = _PILOT
+    # a variate's raw count: its standard deviation from the parts' counts,
+    # no less than 0.1 (about 0.3 at shape 2 and 0.8 at 0.5)
+    sigma = max(0.1, float(np.std(np.diff(marks), ddof=1)) / math.sqrt(_PILOT / _PILOT_PARTS))
+
+    def draw_ahead(skip, size):
+        # size variates of the stream from raw 4*skip on, with the
+        # generator states before and after them
+        gen = np.random.Generator(np.random.Philox(key=key).advance(skip))
+        start = gen.bit_generator.state
+        return start, gen.standard_gamma(shape, size=size), gen.bit_generator.state
+
+    redo = np.random.Generator(np.random.Philox(key=key))
+
+    def join(start, drawn, early):
+        # where the helper's draw joins the exact chain, or None: about
+        # `early` variates in, and at most twice that, as it was planned
+        hits = np.flatnonzero(drawn[:2 * early + 1] == recent[0])
+        for at in hits + recent.size:
+            if np.array_equal(drawn[at - recent.size:at], recent):
+                redo.bit_generator.state = start
+                redo.standard_gamma(shape, size=at)
+                return at if _same_state(redo.bit_generator.state, bits.state) else None
+        return None
+
+    pending = deque()   # the pieces after `done`: None for the caller's, else (early, job)
+    planned = 0
+    frontier = miss = 0   # where the next piece to plan starts, and by how many raws it may miss
+
+    def plan():
+        # top up the helpers' pieces in hand, guessed from the exact state
+        nonlocal planned, frontier, miss
+        here = _raw_position(bits.state)
+        rate = (here - marks[0]) / done
+        if not pending:
+            frontier, miss = done, 0.0
+        while (len(pending) - pending.count(None) < _IN_HAND * helpers
+               and count - frontier >= _PILOT):
+            if planned % ((helpers + 1) * (1 if out is not None else 2)) == 0:
+                pending.append(None)
+                frontier += _PIECE
+            else:
+                # the guess may miss by six standard deviations of the raws
+                # of `ahead` variates, plus `ahead` times six of the rate's
+                # own error.  Start early by that and by what the piece before
+                # may miss, as independent errors; a piece ends where it was
+                # planned to, but the last one stops short of count by more
+                # than it may miss
+                ahead = frontier - done
+                spread = 6 * sigma * (math.sqrt(ahead) + ahead / math.sqrt(done))
+                back = _SLACK_RAWS + math.hypot(miss, spread)
+                covered = min(_PIECE, count - frontier - int((back - _SLACK_RAWS / 2) / rate))
+                if covered < _PILOT:   # the calling thread draws the rest
+                    return
+                skip = max(0, int(here + ahead * rate - back) // 4)   # Philox blocks of 4 raws
+                early = int(back / rate)
+                pending.append((early, pool.submit(draw_ahead, skip, covered + early)))
+                frontier += covered
+                miss = spread
+            planned += 1
+
+    recent = piece[-_MATCH:]
+    while True:
+        plan()
+        yield piece
+        if done == count:
+            return stitched, fallbacks
+        entry, piece = pending.popleft() if pending else None, None
+        if entry is not None:
+            early, job = entry
+            start, drawn, end = job.result()
+            at = join(start, drawn, early)
+            if at is None or done + drawn.size - at > count:
+                fallbacks += 1
+            else:
+                stitched += 1
+                bits.state = end
+                piece = drawn[at:]
+                if out is not None:
+                    out[done:done + piece.size] = piece
+                    piece = out[done:done + piece.size]
+                done += piece.size
+        if piece is None:
+            piece = own(min(count, done + _PIECE))
+        recent = np.concatenate((recent, piece[-_MATCH:]))[-_MATCH:]
+
+
 def _stream_blocks(rng: np.random.Generator, m_bn: float, m_nd: float,
-                   keys, size: int):
+                   keys, size: int, pool=None, helpers: int = 0):
     """Yield (j, rows, x, y): X and Y over a block of rows of keys[j].
 
     keys are (n, omega_bn, omega_nd) triples that read one stream: key j's
     |g_bn| rows are Gamma(m_bn) variates 0 to size*n - 1, scaled by
     omega_bn/m_bn and rooted, and its |g_nd| rows the Gamma(m_nd) variates
     size*n to 2*size*n - 1.  So the keys must share their shapes, and their
-    n too unless m_bn == m_nd.  The stream is drawn once, to 2*size*n_max: a
-    head of size*n_max Gamma(m_bn) variates holds every |g_bn| row (and, at
-    equal shapes, the |g_nd| rows of each key with 2n <= n_max); the rest
-    comes in chunks of whole n_max rows, about _BLOCK_AMPLITUDES, which every
-    key still reading takes in lockstep, carrying its partial row over.
-    A single key draws through sample_nakagami, its scale inside the gamma
-    call, so its head is its |g_bn| amplitudes.
+    n too unless m_bn == m_nd.  The stream is drawn once, to 2*size*n_max,
+    through _gamma_stream (pool and helpers go to it): a head of size*n_max
+    Gamma(m_bn) variates holds every |g_bn| row (and, at equal shapes, the
+    |g_nd| rows of each key with 2n <= n_max); the rest comes in pieces,
+    which every key still reading takes in lockstep, in blocks of about
+    _BLOCK_AMPLITUDES, completing a row a piece left partial from the next.
     """
     n_max = max(n for n, _, _ in keys)
-    fused = len(keys) == 1
-    if fused:
-        (_, om_bn, om_nd), = keys
-        head = sample_nakagami(rng, m_bn, om_bn, size=size * n_max)
-        tail = lambda count: sample_nakagami(rng, m_nd, om_nd, size=count)
-    else:
-        head = rng.standard_gamma(m_bn, size=size * n_max)
-        tail = lambda count: rng.standard_gamma(m_nd, size=count)
+    head = np.empty(size * n_max)
+    for _ in _gamma_stream(rng, m_bn, head.size, head, pool, helpers):
+        pass
 
     def amplitudes(w, m, omega):
-        # omega/m * w, rooted: the bits of sample_nakagami's scaled draw
-        if fused:
-            return w
+        # omega/m * w, rooted: the bits of fading.sample_nakagami's draw
         w = w * (omega / m)
         return np.sqrt(w, out=w)
 
@@ -146,29 +324,38 @@ def _stream_blocks(rng: np.random.Generator, m_bn: float, m_nd: float,
         d = (a * b).sum(axis=1)
         return j, rows, d * d, (b * b).sum(axis=1)
 
+    def blocks(j, lo, w_nd):
+        # whole rows of key j from row lo on, in blocks
+        n = keys[j][0]
+        step = max(1, _BLOCK_AMPLITUDES // n) * n
+        for at in range(0, w_nd.size, step):
+            yield reduce(j, lo + at // n, w_nd[at:at + step])
+
     done, carry = [], []   # per key: |g_nd| rows reduced, the partial row after them
     for j, (n, _, _) in enumerate(keys):
         start = size * n
         in_head = min(size, size * (n_max - n) // n)
-        step = max(1, _BLOCK_AMPLITUDES // n)
-        for lo in range(0, in_head, step):
-            hi = min(lo + step, in_head)
-            yield reduce(j, lo, head[start + lo * n:start + hi * n])
+        yield from blocks(j, 0, head[start:start + in_head * n])
         done.append(in_head)
         carry.append(head[start + in_head * n:2 * start])
-    chunk = max(1, _BLOCK_AMPLITUDES // n_max) * n_max
-    for pos in range(size * n_max, 2 * size * n_max, chunk):
-        w = tail(min(chunk, 2 * size * n_max - pos))
+    pos = size * n_max
+    chunk = max(1, _BLOCK_AMPLITUDES // n_max) * n_max   # whole rows of the largest key
+    for w in _gamma_stream(rng, m_nd, size * n_max, None, pool, helpers, chunk):
         for j, (n, _, _) in enumerate(keys):
-            if done[j] == size:
-                continue
-            taken = w[:2 * size * n - pos]
+            taken = w[:max(0, 2 * size * n - pos)]
             if carry[j].size:
-                taken = np.concatenate((carry[j], taken))
+                fill = n - carry[j].size
+                row, taken = np.concatenate((carry[j], taken[:fill])), taken[fill:]
+                if row.size < n:
+                    carry[j] = row
+                    continue
+                yield reduce(j, done[j], row)
+                done[j] += 1
             whole = taken.size // n * n
-            yield reduce(j, done[j], taken[:whole])
+            yield from blocks(j, done[j], taken[:whole])
             done[j] += whole // n
             carry[j] = taken[whole:]
+        pos += w.size
 
 
 def draw_realization(params: SystemParams, rng: np.random.Generator,
@@ -262,14 +449,15 @@ def _outage_counts(x, y, counted) -> list[int]:
 
 
 def _count_job(m_bn: float, m_nd: float, keys: dict, seed: int, index: int,
-               size: int) -> list[tuple[int, int]]:
-    # batch `index` of one stream group, drawn once for all its fading keys;
-    # keys maps (n, omega_bn, omega_nd) to its request indices and their
-    # (budget, which) pairs.  Returns (request, outage count) pairs.
+               size: int, pool=None, helpers: int = 0) -> list[tuple[int, int]]:
+    # batch `index` of one stream group, drawn once for all its fading keys
+    # (with `helpers` draws ahead on pool); keys maps (n, omega_bn, omega_nd)
+    # to its request indices and their (budget, which) pairs.  Returns
+    # (request, outage count) pairs.
     requests = list(keys.values())
     counts = [[0] * len(ids) for ids, _ in requests]
     for j, _, x, y in _stream_blocks(_batch_rng(seed, index), m_bn, m_nd,
-                                     list(keys), size):
+                                     list(keys), size, pool, helpers):
         for c, got in enumerate(_outage_counts(x, y, requests[j][1])):
             counts[j][c] += got
     return [pair for (ids, _), got in zip(requests, counts) for pair in zip(ids, got)]
@@ -308,6 +496,23 @@ def _worker_count(workers: int | None) -> int:
     if count < 1:
         raise ConfigError(f"{name}: positive integer required, got {value!r}")
     return count
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _helper_plan(workers: int, jobs: int) -> list[int]:
+    """Helpers per job: the threads a plan of `jobs` jobs leaves idle.
+
+    Of min(workers, usable CPUs) threads, one per job; the rest are shared
+    out, the first jobs taking one more where they do not divide evenly.
+    """
+    spare = max(0, min(workers, _usable_cpus()) - jobs)
+    return [spare // jobs + (j < spare % jobs) for j in range(jobs)]
 
 
 # a running batch holds min(batch, trials)*n transmitter-hop amplitudes of 8
@@ -361,11 +566,13 @@ def estimate_outages(requests, config: McConfig = McConfig(),
     sizes = list(enumerate(_batch_sizes(config.trials, config.batch)))
     jobs = [(m_bn, m_nd, keys, config.seed, index, size)
             for (m_bn, m_nd, _), keys in streams.items() for index, size in sizes]
-    if workers == 1 or len(jobs) <= 1:
-        per_job = [_count_job(*job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_job = list(pool.map(lambda job: _count_job(*job), jobs))
+    helpers = _helper_plan(workers, len(jobs))
+    # one job runs on this thread, and its helpers on the pool; more jobs
+    # run on the pool, with their helpers beside them
+    alone = workers == 1 or len(jobs) <= 1
+    with ThreadPoolExecutor(max_workers=max(1, sum(helpers) if alone else workers)) as pool:
+        run = lambda job, extra: _count_job(*job, pool, extra)
+        per_job = list(map(run, jobs, helpers) if alone else pool.map(run, jobs, helpers))
     successes = [0] * len(requests)
     for counts in per_job:
         for i, c in counts:

@@ -361,6 +361,19 @@ class TestSweepCsv:
             assert run_sweep(config, str(out), workers=workers) == 20
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, workers
 
+    def test_one_batch_sweep_is_pinned_on_any_worker_count(self, tmp_path):
+        # one fading key in one batch: a one-job plan, whose spare workers
+        # draw its stream ahead
+        config = write_config(tmp_path, "start: -70.0\nstop: -61.0\npoints: 4\n"
+                                        "fixed: {n: 10, d_nd: 5.0}\nmodes: [mc_exact, "
+                                        "mc_ub, noiseless_variant]\ntrials: 40000\n"
+                                        "batch: 40000\nseed: 17\n")
+        for workers in (1, 2, 3):
+            out = tmp_path / f"one_batch{workers}.csv"
+            assert run_sweep(config, str(out), workers=workers) == 16
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+                "0519b1bbb444dac2a298fbc09df218d187e20d84f82cfad0f88701514011637c"), workers
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_every_mode_sweep_is_pinned(self, tmp_path, workers):
         # a refactor that moves one byte of any mode's rows fails here

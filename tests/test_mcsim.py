@@ -145,6 +145,20 @@ class TestBlockedDraw:
             tracemalloc.stop()
         assert peak <= 1.25 * cfg.batch * params.n * 8
 
+    def test_one_batch_on_two_workers_holds_about_one_hop(self, monkeypatch):
+        # a helper drawing ahead holds pieces of its own, never the stream
+        monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 2)
+        params = SystemParams(n=64)
+        cfg = McConfig(trials=100_000, batch=100_000)
+        estimate_outage(params, McConfig(trials=1_000, batch=1_000), which="ub", workers=2)
+        tracemalloc.start()
+        try:
+            estimate_outage(params, cfg, which="ub", workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * cfg.batch * params.n * 8
+
 
 def group_draws(keys, m_bn, m_nd, size):
     # X and Y of every key of a stream group, assembled from its blocks of
@@ -239,7 +253,180 @@ class TestStreamGroups:
                             and getattr(func.value, "id", None) not in modules:
                         callers.append((path.name, getattr(top, "name", None)))
         assert sorted(set(callers)) == [("fading.py", "sample_nakagami"),
-                                        ("mcsim.py", "_stream_blocks")]
+                                        ("mcsim.py", "_gamma_stream")]
+
+
+class Finished:
+    def __init__(self, value):
+        self.value = value
+
+    def result(self):
+        return self.value
+
+
+class InOrder:
+    """A pool that runs each job when it is submitted: stitch counts repeat."""
+
+    def __init__(self, shift=0, start_shift=0, extra=0):
+        # shift moves where a helper starts, start_shift the start state it
+        # reports, both in Philox blocks of 4 raws; extra lengthens its draw
+        self.shift, self.start_shift, self.extra = shift, start_shift, extra
+        self.jobs = 0
+
+    def submit(self, draw_ahead, skip, size):
+        self.jobs += 1
+        start, drawn, end = draw_ahead(skip + self.shift, size + self.extra)
+        if self.start_shift:
+            start = dict(start, state=dict(start["state"], counter=start["state"]["counter"]
+                                           + np.uint64(self.start_shift)))
+        return Finished((start, drawn, end))
+
+
+def stitched_stream(shape, count, helpers, pool=None, out=None, seed=3, index=7):
+    """The pieces _gamma_stream yields, joined, the generator it drew on,
+    and its (stitched, fallbacks) counts."""
+    rng = mcsim._batch_rng(seed, index)
+    stream = mcsim._gamma_stream(rng, shape, count, out, pool or InOrder(), helpers)
+    pieces = []
+    while True:
+        try:
+            pieces.append(next(stream))
+        except StopIteration as stop:
+            return pieces, rng, stop.value
+
+
+def assert_sequential(pieces, rng, shape, count, seed=3, index=7):
+    # bit for bit one standard_gamma fill, and the state it leaves
+    fresh = mcsim._batch_rng(seed, index)
+    want = fresh.standard_gamma(shape, count)
+    got = np.concatenate(pieces)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert_equal(rng.bit_generator.state, fresh.bit_generator.state)
+
+
+class TestGammaStream:
+    """Helpers draw a batch's Gamma stream ahead; the stitch is exact."""
+
+    PILOT, PIECE = mcsim._PILOT, mcsim._PIECE
+    # one variate, the pilot's edge, the first piece's edge, several pieces
+    COUNTS = (1, PILOT - 1, PILOT, PILOT + 1, PILOT + PIECE - 1, PILOT + PIECE,
+              PILOT + PIECE + 1, PILOT + 3 * PIECE + 17)
+
+    # 0.5 and 0.7 take numpy's shape < 1 branch, 1.0 its exponential one,
+    # the others Marsaglia-Tsang
+    @pytest.mark.parametrize("shape", [0.5, 0.7, 1.0, 2.0, 3.3])
+    @pytest.mark.parametrize("helpers", [0, 1, 2])
+    def test_pieces_are_the_sequential_fill(self, shape, helpers):
+        for count in self.COUNTS:
+            pieces, rng, (stitched, fallbacks) = stitched_stream(shape, count, helpers)
+            assert_sequential(pieces, rng, shape, count)
+            assert fallbacks == 0, count
+            if helpers and count == self.COUNTS[-1]:
+                assert stitched > 0
+            # every piece has a buffer of its own
+            assert not any(np.shares_memory(a, b)
+                           for a, b in itertools.combinations(pieces, 2)), count
+
+    @pytest.mark.parametrize("helpers", [0, 1, 2])
+    def test_filling_an_array_in_place(self, helpers):
+        count = self.PILOT + 3 * self.PIECE + 17
+        out = np.full(count, np.nan)
+        pieces, rng, (stitched, fallbacks) = stitched_stream(2.0, count, helpers, out=out)
+        assert all(np.shares_memory(piece, out) for piece in pieces)
+        assert_sequential([out], rng, 2.0, count)
+        assert (stitched > 0, fallbacks) == (helpers > 0, 0)
+
+    def test_a_helper_started_far_off_falls_back_to_the_same_bits(self):
+        # 10**6 raws past the guessed start no helper joins the exact chain
+        count = self.PILOT + 3 * self.PIECE + 17
+        pool = InOrder(shift=250_000)
+        pieces, rng, (stitched, fallbacks) = stitched_stream(0.7, count, 2, pool)
+        assert_sequential(pieces, rng, 0.7, count)
+        assert stitched == 0 < fallbacks <= pool.jobs
+
+    def test_equal_values_without_the_state_are_refused(self):
+        # a helper whose draws match but whose reported start is one block
+        # off: its prefix drawn again misses the exact state, so no stitch
+        count = self.PILOT + 3 * self.PIECE + 17
+        pool = InOrder(start_shift=1)
+        pieces, rng, (stitched, fallbacks) = stitched_stream(2.0, count, 1, pool)
+        assert_sequential(pieces, rng, 2.0, count)
+        assert stitched == 0 < fallbacks <= pool.jobs
+
+    @pytest.mark.parametrize("out", [False, True])
+    def test_a_piece_past_the_end_is_drawn_again(self, out):
+        # the first helper piece is the last whole one: drawn 20,000
+        # variates longer than asked it would run past count, where the
+        # generator state is not known
+        count = self.PILOT + self.PIECE + self.PIECE // 2
+        for extra in (0, 20_000):
+            pool = InOrder(extra=extra)
+            fill = np.full(count, np.nan) if out else None
+            pieces, rng, counts = stitched_stream(2.0, count, 1, pool, fill)
+            assert_sequential([fill] if out else pieces, rng, 2.0, count)
+            assert counts == ((0, 1) if extra else (pool.jobs, 0))
+            assert pool.jobs == 1 or not extra
+
+    def test_two_shapes_stream_as_two_runs(self):
+        # a group's head at m_bn and its tail at m_nd, on one generator: no
+        # piece holds both shapes
+        rng = mcsim._batch_rng(3, 7)
+        sizes = (self.PIECE + 5_000, 2 * self.PIECE + 3)
+        runs = [list(mcsim._gamma_stream(rng, m, k, None, InOrder(), 2))
+                for m, k in zip((1.5, 2.5), sizes)]
+        fresh = mcsim._batch_rng(3, 7)
+        for pieces, m, k in zip(runs, (1.5, 2.5), sizes):
+            want = fresh.standard_gamma(m, k)
+            assert np.array_equal(np.concatenate(pieces).view(np.uint64), want.view(np.uint64))
+        assert_equal(rng.bit_generator.state, fresh.bit_generator.state)
+
+    @pytest.mark.parametrize("m_bn, m_nd, n", [(1.5, 2.5, 6), (0.7, 0.7, 12)])
+    def test_helped_blocks_match_the_unhelped_draw(self, m_bn, m_nd, n):
+        params = SystemParams(n=n, m_bn=m_bn, m_nd=m_nd)
+        size = 100_000
+        want = draw_realization(params, mcsim._batch_rng(5, 3), size=size)
+        x, y = np.full(size, np.nan), np.full(size, np.nan)
+        rng, pool = mcsim._batch_rng(5, 3), InOrder()
+        for _, rows, xb, yb in mcsim._stream_blocks(rng, m_bn, m_nd, [(n, *hop_powers(params))],
+                                                    size, pool, 2):
+            x[rows], y[rows] = xb, yb
+        assert pool.jobs > 0
+        for got, w in zip((x, y), want):
+            assert np.array_equal(got.view(np.uint64), w.view(np.uint64))
+        fresh = mcsim._batch_rng(5, 3)
+        fresh.standard_gamma(m_bn, size * n)
+        fresh.standard_gamma(m_nd, size * n)
+        assert_equal(rng.bit_generator.state, fresh.bit_generator.state)
+
+
+class TestHelperPlan:
+    def test_helpers_are_capped_at_the_usable_cpus(self, monkeypatch):
+        # RISNOISE_WORKERS=8 on 2 CPUs: one job and one helper, not seven
+        monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 2)
+        assert mcsim._helper_plan(8, 1) == [1]
+        assert mcsim._helper_plan(8, 2) == [0, 0]
+        assert mcsim._helper_plan(1, 1) == [0]
+        monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 16)
+        assert mcsim._helper_plan(8, 1) == [7]
+        assert mcsim._helper_plan(8, 3) == [2, 2, 1]
+        assert mcsim._helper_plan(8, 9) == [0] * 9
+        assert mcsim._helper_plan(8, 0) == []
+
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(mcsim.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert mcsim._usable_cpus() == 2
+        monkeypatch.delattr(mcsim.os, "sched_getaffinity")
+        monkeypatch.setattr(mcsim.os, "cpu_count", lambda: 5)
+        assert mcsim._usable_cpus() == 5
+
+    def test_a_one_job_plan_hands_its_job_the_spare_workers(self, monkeypatch):
+        # the plan reads the environment and the CPU cap; no job runs
+        monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("RISNOISE_WORKERS", "8")
+        given = []
+        monkeypatch.setattr(mcsim, "_count_job", lambda *job: given.append(job[-1]) or [])
+        estimate_outage(SystemParams(), McConfig(trials=1_000, batch=1_000))
+        assert given == [1]
 
 
 class TestSinr:
@@ -599,6 +786,30 @@ class TestEstimateOutages:
         monkeypatch.setattr(mcsim, "_stream_blocks", counted)
         assert estimate_outages([(link, "ub") for link in links], cfg) == separate
         assert len(draws) == 2   # one per batch, not one per batch and link
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_one_job_plan_is_the_same_on_any_worker_count(self, monkeypatch, cpus):
+        # one fading key in one batch: the workers past the first draw its
+        # stream ahead, and the estimates do not move
+        monkeypatch.setattr(mcsim, "_usable_cpus", lambda: cpus)
+        counts = []
+        original = mcsim._gamma_stream
+
+        def recorded(*args):
+            counts.append((yield from original(*args)))
+
+        monkeypatch.setattr(mcsim, "_gamma_stream", recorded)
+        requests = on_links([(SystemParams(n=10, pb=10.0 ** (dbw / 10.0), ris_noise=noisy),
+                              which) for dbw in (-67.0, -64.0) for noisy in (True, False)
+                             for which in ("exact", "ub")])
+        cfg = McConfig(trials=40_000, seed=13, batch=40_000)
+        serial = estimate_outages(requests, cfg, workers=1)
+        assert counts == [(0, 0), (0, 0)]
+        for workers in (2, 3):
+            counts.clear()
+            assert estimate_outages(requests, cfg, workers=workers) == serial
+            assert sum(stitched for stitched, _ in counts) > 0, workers
+            assert sum(fallbacks for _, fallbacks in counts) == 0, workers
 
     def test_each_fading_key_draws_its_own_batches(self):
         requests = [(SystemParams(n=n, pb=1e-7), "exact") for n in (4, 6)]
