@@ -2,27 +2,24 @@
 
 Every test times itself where the gate carries a runtime cap, computes the
 gate quantity from scratch, prints one PASS/FAIL line, and asserts.  A gate
+whose quantity `risnoise validate` also checks measures it through the same
+body in risnoise.cli, on the gate's own grid, seed and tolerance.  A gate
 that cannot be met stays red with its diagnostic in the message; tolerances
 are never loosened to hide a defect.
 """
-import math
+import itertools
 import time
 
-import mpmath as mp
 import numpy as np
 
-from risnoise import noise
-from risnoise.fading import cascade_moments
+from risnoise import cli
 from risnoise.mcsim import (
     McConfig,
     ThroughputEstimate,
     draw_realization,
     estimate_outages,
-    sinr_bounds,
-    sinr_exact,
 )
 from risnoise.noise import (
-    REFERENCE_NOISE_TABLE_DBW,
     SystemParams,
     build_noise_budget,
     db_from_watts,
@@ -30,20 +27,10 @@ from risnoise.noise import (
 )
 from risnoise.outage import (
     build_link_model,
-    outage_asymptotic,
     outage_lb,
     outage_report,
     power_for_outage,
     throughput,
-    xi1_closed,
-    xi1_oracle,
-    xi2,
-)
-from risnoise.specfun import (
-    kummer_1f1,
-    meijer_g_1_1_1_2,
-    meijer_g_2_1_1_2,
-    meijer_g_2_1_1_2_contour,
 )
 
 
@@ -56,10 +43,7 @@ def _verdict(gate: str, ok: bool, detail: str) -> None:
 def test_gate01_reference_noise_grid():
     # every tabulated surface-noise power, 1e-3 dB, under 1 s
     t0 = time.perf_counter()
-    worst = 0.0
-    for (alpha, n), ref in REFERENCE_NOISE_TABLE_DBW.items():
-        got = db_from_watts(noise.ris_noise_power(n, alpha))
-        worst = max(worst, abs(got - ref))
+    worst = cli._table2_deviation()
     elapsed = time.perf_counter() - t0
     _verdict("gate 01 reference-noise-grid",
              worst <= 1e-3 and elapsed < 1.0,
@@ -79,20 +63,14 @@ def test_gate02_receiver_noise_floor():
 def test_gate03_noiseless_reduction():
     # switching the surface noise off must collapse the composition onto
     # the single noise-limited factor, bitwise, across 100 points
-    checked = 0
-    ok = True
-    for n in (1, 2, 5, 10, 20):
-        for alpha in (0.5, 0.9):
-            for pb_dbw in np.linspace(-80.0, -53.0, 10):
-                p = SystemParams(n=n, alpha=alpha,
-                                 pb=10.0 ** (float(pb_dbw) / 10.0),
-                                 ris_noise=False)
-                link = build_link_model(p)
-                if outage_lb(link) != xi2(link):
-                    ok = False
-                checked += 1
-    _verdict("gate 03 noiseless-reduction", ok and checked == 100,
-             f"outage_lb == xi2 bitwise at {checked}/100 points")
+    links = [build_link_model(SystemParams(n=n, alpha=alpha,
+                                           pb=10.0 ** (float(pb_dbw) / 10.0),
+                                           ris_noise=False))
+             for n in (1, 2, 5, 10, 20) for alpha in (0.5, 0.9)
+             for pb_dbw in np.linspace(-80.0, -53.0, 10)]
+    bad = cli._noiseless_mismatches(links)
+    _verdict("gate 03 noiseless-reduction", bad == 0 and len(links) == 100,
+             f"outage_lb == xi2 bitwise at {len(links)}/100 points")
 
 
 def test_gate04_cascade_moment_match():
@@ -100,20 +78,11 @@ def test_gate04_cascade_moment_match():
     details = []
     ok = True
     for n in (5, 10, 20):
-        p = SystemParams(n=n)
-        link = build_link_model(p)
-        mu, var = cascade_moments(n, p.m_bn, p.m_nd,
-                                  link.omega_bn, link.omega_nd)
+        link = build_link_model(SystemParams(n=n))
         rng = np.random.Generator(
             np.random.Philox(key=np.array([41, n], dtype=np.uint64)))
-        x, _ = draw_realization(p, rng, size=1_000_000)
-        d = np.sqrt(x)
-        m_hat, v_hat = d.mean(), d.var(ddof=1)
-        se_m = math.sqrt(var / d.size)
-        m4 = float(np.mean((d - m_hat) ** 4))
-        se_v = math.sqrt(max(m4 - v_hat ** 2, 0.0) / d.size)
-        zm = abs(m_hat - mu) / se_m
-        zv = abs(v_hat - var) / se_v
+        x, _ = draw_realization(link.params, rng, size=1_000_000)
+        zm, zv, _ = cli._moment_z(link, x)
         ok = ok and zm < 3.0 and zv < 3.0
         details.append(f"n={n}: mean {zm:.2f}se var {zv:.2f}se")
     elapsed = time.perf_counter() - t0
@@ -125,34 +94,25 @@ def test_gate05_series_vs_quadrature():
     # closed-form series against the real-shape quadrature oracle; the
     # oracle >= 1e-9 guard only drops points where both routes sit at
     # double-precision noise, far below the binding worst case
-    worst = (0.0, "")
-    for n in (5, 10, 20):
-        for d in (2.0, 3.5, 5.0):
-            for v in (-75, -70, -65, -60, -55, -50):
-                link = build_link_model(
-                    SystemParams(n=n, d_nd=d, pb=10.0 ** (v / 10.0)))
-                s, o = xi1_closed(link), xi1_oracle(link)
-                if o < 1e-9:
-                    continue
-                rel = abs(s - o) / o
-                if rel > worst[0]:
-                    worst = (rel, f"n={n} d_nd={d} pb={v} dBW "
-                                  f"(series {s:.3e}, oracle {o:.3e})")
-    a_ok = worst[0] <= 1e-3
+    where = {build_link_model(SystemParams(n=n, d_nd=d, pb=10.0 ** (v / 10.0))):
+             f"n={n} d_nd={d} pb={v} dBW"
+             for n in (5, 10, 20) for d in (2.0, 3.5, 5.0)
+             for v in (-75, -70, -65, -60, -55, -50)}
+    worst, link, s, o = cli._series_vs_oracle(where, floor=1e-9)
+    a_ok = worst <= 1e-3
 
     link8 = build_link_model(SystemParams(n=20, d_nd=8.0, pb=1e-6))
-    s8, o8 = xi1_closed(link8), xi1_oracle(link8)
-    rel8 = abs(s8 - o8) / o8
+    rel8 = cli._series_vs_oracle([link8])[0]
     b_ok = rel8 > 1e-2
     flagged = outage_report(link8).reliability_flag == 1
 
     _verdict(
         "gate 05 series-vs-quadrature", a_ok and b_ok and flagged,
-        f"in-domain worst rel {worst[0]:.4f} at {worst[1]} (tol 1e-3, "
-        f"integer-rounded shape vs real shape); 8 m breakdown rel "
-        f"{rel8:.4f} (> 1e-2 wanted: {b_ok}); reliability flag at 8 m: "
-        f"{int(flagged)} (the documented floor keys on lambda, which does "
-        f"not move with hop distance)")
+        f"in-domain worst rel {worst:.4f} at {where[link]} (series {s:.3e}, "
+        f"oracle {o:.3e}) (tol 1e-3, integer-rounded shape vs real shape); "
+        f"8 m breakdown rel {rel8:.4f} (> 1e-2 wanted: {b_ok}); reliability "
+        f"flag at 8 m: {int(flagged)} (the documented floor keys on lambda, "
+        f"which does not move with hop distance)")
 
 
 def test_gate06_analytic_vs_simulation():
@@ -210,12 +170,7 @@ def test_gate08_asymptote_slope():
     details = []
     ok = True
     for n, window in ((5, (-40.0, -20.0)), (10, (-45.0, -25.0))):
-        pts = np.linspace(window[0], window[1], 9)
-        vals = [outage_asymptotic(build_link_model(
-            SystemParams(n=n, pb=10.0 ** (float(v) / 10.0)))) for v in pts]
-        slope = float(np.polyfit(pts / 10.0, np.log10(vals), 1)[0])
-        want = -build_link_model(SystemParams(n=n)).approx.delta / 2.0
-        rel = abs(slope - want) / abs(want)
+        rel, slope, want = cli._asymptote_slope(n, np.linspace(*window, 9))
         ok = ok and rel < 0.01
         details.append(f"n={n}: fitted {slope:.5f} vs {want:.5f} "
                        f"(rel {rel:.1e})")
@@ -227,10 +182,7 @@ def test_gate09_bound_sandwich():
     rng = np.random.Generator(
         np.random.Philox(key=np.array([9, 0], dtype=np.uint64)))
     x, y = draw_realization(params, rng, size=1_000_000)
-    budget = build_noise_budget(params)
-    lb, ub = sinr_bounds(x, y, budget)
-    mid = sinr_exact(x, y, budget)
-    bad = int(np.count_nonzero(~((lb <= mid) & (mid <= ub))))
+    bad = cli._sandwich_violations(x, y, build_noise_budget(params))
     _verdict("gate 09 bound-sandwich", bad == 0,
              f"{bad} violations in {x.size} draws")
 
@@ -279,28 +231,14 @@ def test_gate10_noise_relevance_boundary():
 
 def test_gate11_special_function_identities():
     t0 = time.perf_counter()
-    worst_g = 0.0
-    for delta in np.geomspace(0.7, 71.2, 10):
-        for x in np.geomspace(0.05, 50.0, 10):
-            got = meijer_g_1_1_1_2(float(delta), float(x))
-            with mp.workdps(30):
-                want = float(mp.gammainc(float(delta), 0, float(x)))
-            worst_g = max(worst_g, abs(got - want) / abs(want))
-
-    worst_k = 0.0
-    for a, b, z in ((0.5, 1.5, 2.0), (3.0, 4.5, 6.0), (17.8, 18.8, 1.5),
-                    (2.0, 9.0, 25.0), (35.6, 36.6, 0.8), (8.2, 9.2, 12.0)):
-        lhs = kummer_1f1(a, b, z)
-        with mp.workdps(30):
-            rhs = math.exp(z) * float(mp.hyp1f1(b - a, b, -z))
-        worst_k = max(worst_k, abs(lhs - rhs) / abs(lhs))
-
-    worst_c = 0.0
-    for a1 in (-9.5, -13.5, -17.5, -21.0, -25.5):
-        for z in (0.05, 0.2, 0.5, 0.9, 1.4, 2.0, 2.8, 3.7, 4.8, 6.0):
-            got = meijer_g_2_1_1_2(a1, z)
-            ref = meijer_g_2_1_1_2_contour(a1, z, dps=14)
-            worst_c = max(worst_c, abs(got - ref) / abs(ref))
+    worst_g = cli._gamma_identity_error(np.geomspace(0.7, 71.2, 10),
+                                        np.geomspace(0.05, 50.0, 10))
+    worst_k = cli._kummer_transform_error(
+        ((0.5, 1.5, 2.0), (3.0, 4.5, 6.0), (17.8, 18.8, 1.5),
+         (2.0, 9.0, 25.0), (35.6, 36.6, 0.8), (8.2, 9.2, 12.0)))
+    worst_c = cli._meijer_dual_route_error(itertools.product(
+        (-9.5, -13.5, -17.5, -21.0, -25.5),
+        (0.05, 0.2, 0.5, 0.9, 1.4, 2.0, 2.8, 3.7, 4.8, 6.0)))
     elapsed = time.perf_counter() - t0
     ok = (worst_g < 1e-10 and worst_k < 1e-9 and worst_c < 1e-6
           and elapsed < 30.0)

@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import risnoise
-from risnoise import cli, mcsim, noise, outage
+from risnoise import cli, mcsim, noise, outage, specfun
 from risnoise.cli import (
     ALL_MODES,
     CSV_HEADER,
@@ -492,6 +492,40 @@ class TestValidate:
         failing = [ln for ln in lines if ln.startswith("FAIL")]
         assert len(failing) == 1
         assert failing[0].startswith("FAIL table2:")
+
+    # (check, module, name, fault): each validate check that shares its body
+    # with a release gate, and a fault planted in what the body measures.
+    # The contour fault is 1e-5: at 1e-6 it reads 9.99999e-7, inside the
+    # 1e-6 tolerance.
+    PLANTED_FAULTS = [
+        ("table2", noise, "BOLTZMANN", lambda k: k * 1.01),
+        ("gamma-identity", specfun, "meijer_g_1_1_1_2",
+         lambda f: lambda *a: f(*a) * (1.0 + 1e-6)),
+        ("kummer-transform", specfun, "kummer_1f1",
+         lambda f: lambda *a: f(*a) * (1.0 + 1e-6)),
+        ("meijer-dual-route", specfun, "meijer_g_2_1_1_2_contour",
+         lambda f: lambda *a, **kw: f(*a, **kw) * (1.0 + 1e-5)),
+        ("series-vs-quadrature", cli, "xi1_closed",
+         lambda f: lambda link: f(link) * (1.0 + 1e-5)),
+        ("noiseless-reduction", cli, "xi2",
+         lambda f: lambda link: math.nextafter(f(link), math.inf)),
+        ("asymptote-slope", cli, "outage_asymptotic",
+         lambda f: lambda link: f(link) ** (1.0 + 1e-6)),
+        ("mc-moments", outage, "cascade_moments",
+         lambda f: lambda *a: (1.01 * f(*a)[0], f(*a)[1])),
+        ("mc-sandwich", cli, "sinr_bounds", lambda f: lambda *a: f(*a)[::-1]),
+    ]
+
+    @pytest.mark.parametrize("check, module, name, fault", PLANTED_FAULTS,
+                             ids=[fault[0] for fault in PLANTED_FAULTS])
+    def test_a_fault_in_what_a_shared_check_measures_fails_it(
+            self, monkeypatch, check, module, name, fault):
+        # the release gate calls the same body, so a body that could not
+        # fail would leave the gate and the check green together
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+        call, = [call for _, entry, call in cli._validate_checks() if entry == check]
+        passed, detail = call()
+        assert not passed, detail
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError, match="level"):

@@ -67,6 +67,21 @@ def test_cascade_moments_at_large_shapes(m):
             assert_allclose(got, want, rtol=4e-16)
 
 
+EXTREME_SHAPES = (0.5, 1.0, 2.0, 15.9, 15.999999, 16.0, 16.1, 100.0, 1e4, 1e8)
+
+
+@pytest.mark.parametrize("m_bn", EXTREME_SHAPES)
+@pytest.mark.parametrize("m_nd", EXTREME_SHAPES)
+def test_cascade_moments_at_every_extreme_shape_pair(m_bn, m_nd):
+    # both sides of the series switch at 16 in every pairing; the lgamma
+    # difference just below it is the weak side: 1.35e-12 in sigma2 at
+    # (m_bn, m_nd) = (1e8, 15.9) and 2.1e-14 in mu at (15.9, 15.9)
+    mu, var = cascade_moments(10, m_bn, m_nd, 1.0, 0.25)
+    mu_mp, var_mp = mp_large_shape_moments(10, m_bn, m_nd, 1.0, 0.25)
+    assert_allclose(mu, mu_mp, rtol=1e-13)
+    assert_allclose(var, var_mp, rtol=2e-12)
+
+
 def test_shapes_past_the_double_range_are_refused_by_name():
     big = 1.7976931348623157e308
     with pytest.raises(ValueError, match=r"^mu, sigma2: the shape mu\^2/sigma2"):

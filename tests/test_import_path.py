@@ -1,5 +1,6 @@
-"""What a sweep imports, the module entry point, and the package names the
-benchmark under perfbench/ looks up."""
+"""What a sweep imports, the module entry point, the package names the
+benchmark under perfbench/ looks up, and the one body per check that
+validate and the release gates share."""
 import ast
 import importlib
 import importlib.util
@@ -199,3 +200,58 @@ class TestImports:
                    for defined, line in sorted(_private_definitions(tree).items())
                    if defined not in read]
         assert orphans == []
+
+
+# the bodies risnoise.cli shares between validate and the release gates, and
+# the oracles and reference data that only they may read
+SHARED_CHECK_BODIES = {
+    "_table2_deviation", "_gamma_identity_error", "_kummer_transform_error",
+    "_meijer_dual_route_error", "_series_vs_oracle", "_noiseless_mismatches",
+    "_asymptote_slope", "_moment_z", "_sandwich_violations"}
+ORACLE_NAMES = {"gammainc", "hyp1f1", "meijer_g_2_1_1_2_contour", "sinr_bounds",
+                "REFERENCE_NOISE_TABLE_DBW"}
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+
+
+def _names_by_statement(path: Path) -> dict[str, set[str]]:
+    """The names and attributes each top-level def (or '<module>') of a file
+    reads; import statements are left out."""
+    found = {}
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            continue
+        names = found.setdefault(getattr(stmt, "name", "<module>"), set())
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return found
+
+
+class TestOneBodyPerCheck:
+    """A quantity both a release gate and validate check is measured by one
+    body in risnoise.cli; a second copy of a measurement would read an
+    oracle or the reference grid outside those bodies."""
+
+    def test_the_gates_read_no_oracle(self):
+        read = set().union(*_names_by_statement(ACCEPTANCE).values())
+        assert read & ORACLE_NAMES == set()
+
+    def test_in_cli_only_the_shared_bodies_read_an_oracle(self):
+        read = _names_by_statement(PACKAGE / "cli.py")
+        readers = {name for name, names in read.items() if names & ORACLE_NAMES}
+        assert readers <= SHARED_CHECK_BODIES
+        assert ORACLE_NAMES <= set().union(*(read[name] for name in readers))
+
+    def test_every_shared_body_is_called_by_validate_and_by_a_gate(self):
+        validate = _names_by_statement(PACKAGE / "cli.py")["_validate_checks"]
+        assert SHARED_CHECK_BODIES <= validate
+        # the cli functions the gates call are the shared bodies, all of them
+        gate_calls = {node.func.attr
+                      for stmt in ast.parse(ACCEPTANCE.read_text(encoding="utf-8")).body
+                      if getattr(stmt, "name", "").startswith("test_gate")
+                      for node in ast.walk(stmt) if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and getattr(node.func.value, "id", None) == "cli"}
+        assert gate_calls == SHARED_CHECK_BODIES
