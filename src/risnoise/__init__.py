@@ -25,6 +25,7 @@ from .outage import (
     LinkModel,
     OutageReport,
     build_link_model,
+    build_link_models,
     compose_outage,
     diversity_order,
     evaluate_mode,

@@ -46,14 +46,16 @@ from .noise import (
 )
 from .outage import (
     ANALYTIC_MODES,
+    _check_probabilities,
+    _throughput,
     build_link_model,
+    build_link_models,
     diversity_order,
     outage_asymptotic,
     outage_lb,
     outage_report,
     outage_reports,
     reliability_flag,
-    throughput as map_throughput,
     xi1,
     xi1_closed,
     xi1_oracle,
@@ -271,22 +273,23 @@ def _variants(grid: SweepGrid) -> list[tuple[str, bool, str]]:
 
 def _point_rows(grid: SweepGrid, value: float, links: dict, reports: dict,
                 mc: dict) -> list[list[str]]:
-    """CSV rows of one grid point from the links, reports and estimates built for it."""
-    rows = []
+    """CSV rows of one grid point from the links, reports and estimates built
+    for it; the point's outages are checked once, together."""
+    cells = []
     for mode, quiet, label in _variants(grid):
-        link = links[value, quiet]
         if mode in ANALYTIC_MODES:
             po = getattr(reports[value, quiet], ANALYTIC_MODES[mode])
             ci_lo = ci_hi = None
         else:
             est = mc[value, mode, quiet]
             po, ci_lo, ci_hi = est.p_hat, est.ci_lo, est.ci_hi
-        lam = link.budget.lam
-        rows.append([_fmt(value), label, _fmt(po), _fmt(ci_lo), _fmt(ci_hi),
-                     _fmt(map_throughput(po, link.params.rate)), _fmt(lam),
-                     _fmt(link.approx.delta), _fmt(link.approx.zeta),
-                     str(reliability_flag(lam))])
-    return rows
+        cells.append((label, links[value, quiet], po, ci_lo, ci_hi))
+    _check_probabilities(("outage",), [(po,) for _, _, po, _, _ in cells])
+    return [[_fmt(value), label, _fmt(po), _fmt(ci_lo), _fmt(ci_hi),
+             _fmt(_throughput(po, link.params.rate)), _fmt(link.budget.lam),
+             _fmt(link.approx.delta), _fmt(link.approx.zeta),
+             str(reliability_flag(link.budget.lam))]
+            for label, link, po, ci_lo, ci_hi in cells]
 
 
 def _file_identity(path: str):
@@ -326,8 +329,9 @@ def run_sweep(config: str, out_path: str, *, seed: int | None = None,
     # every point's params, links and analytic values are built before the
     # first Monte Carlo batch, so none of their refusals waits for the draws
     params = {v: _params_at(grid, v) for v in values}
-    links = {(v, q): build_link_model(replace(p, ris_noise=False) if q else p)
-             for v, p in params.items() for q in {quiet for _, quiet, _ in variants}}
+    keys = [(v, q) for v in values for q in {quiet for _, quiet, _ in variants}]
+    links = dict(zip(keys, build_link_models(
+        replace(params[v], ris_noise=False) if q else params[v] for v, q in keys)))
     analytic = tuple(m for m in grid.modes if m in ANALYTIC_MODES)
     reports = (dict(zip(links, outage_reports(links.values(), analytic)))
                if analytic else {})
@@ -378,7 +382,9 @@ def _table2_deviation() -> float:
 
 
 def _rel_gap(got: float, ref: float) -> float:
-    return abs(got - ref) / max(abs(ref), 1e-300)
+    gap = abs(got - ref) / max(abs(ref), 1e-300)
+    # a NaN gap loses every comparison, so max() and `>` would pass it over
+    return gap if math.isfinite(gap) else math.inf
 
 
 def _gamma_identity_error(deltas, xs) -> float:
@@ -411,11 +417,12 @@ def _meijer_dual_route_error(points) -> float:
 
 def _series_vs_oracle(links, *, integer_shape=False, floor=0.0):
     """Worst relative gap of the series xi1_closed from xi1_oracle over the
-    links whose oracle is at least floor: (gap, link, series, oracle)."""
+    links whose oracle is not below floor: (gap, link, series, oracle).  A
+    NaN series or oracle is the worst point, at an infinite gap."""
     worst = (0.0, None, None, None)
     for link in links:
         s, o = xi1_closed(link), xi1_oracle(link, integer_shape=integer_shape)
-        if o >= floor and (rel := _rel_gap(s, o)) > worst[0]:
+        if not o < floor and (rel := _rel_gap(s, o)) > worst[0]:
             worst = (rel, link, s, o)
     return worst
 

@@ -5,6 +5,12 @@ N elements; the RIS noise reaches the receiver through Y = sum_n |g_nd|^2.
 D has no closed-form density, so the package uses the standard first/second
 moment match of D onto a Gamma(delta, zeta) shape/scale pair.  Y is exactly
 Gamma(N*m_nd, omega_nd/m_nd) since each |g_nd|^2 is Gamma(m_nd, omega_nd/m_nd).
+
+cascade_moments and y_gamma_params check their raw arguments and call a
+private body that does not; the link builder (outage.build_link_models)
+calls the bodies on the fields of a built SystemParams and the hop powers
+derived from them.  gamma_approx keeps its check: mu and sigma2 are
+derived values, which can underflow to 0.
 """
 from __future__ import annotations
 
@@ -51,6 +57,11 @@ def cascade_moments(n: int, m_bn: float, m_nd: float,
     The variance is formed as -expm1(2L), so it does not cancel at any shape.
     """
     check(n=n, m_bn=m_bn, m_nd=m_nd, omega_bn=omega_bn, omega_nd=omega_nd)
+    return _cascade_moments(n, m_bn, m_nd, omega_bn, omega_nd)
+
+
+def _cascade_moments(n: int, m_bn: float, m_nd: float,
+                     omega_bn: float, omega_nd: float) -> tuple[float, float]:
     log_g = _log_mean_factor(m_bn) + _log_mean_factor(m_nd)
     return (n * math.sqrt(omega_bn * omega_nd) * math.exp(log_g),
             n * omega_bn * omega_nd * -math.expm1(2.0 * log_g))
@@ -103,6 +114,10 @@ def cdf_X(x, approx: CascadeApprox):
 def y_gamma_params(n: int, m_nd: float, omega_nd: float) -> tuple[float, float]:
     """Exact Gamma(shape, rate) parameters of Y = sum_n |g_nd|^2."""
     check(n=n, m_nd=m_nd, omega_nd=omega_nd)
+    return _y_gamma_params(n, m_nd, omega_nd)
+
+
+def _y_gamma_params(n: int, m_nd: float, omega_nd: float) -> tuple[float, float]:
     if n * m_nd == math.inf:
         raise ValueError(f"n, m_nd: the shape n*m_nd is past the double range, "
                          f"got n={n!r}, m_nd={m_nd!r}")

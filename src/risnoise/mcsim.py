@@ -535,6 +535,9 @@ def estimate_outages(requests, config: McConfig = McConfig(),
     """
     workers = _worker_count(workers)
     requests = list(requests)
+    if not requests:
+        # no plan, so no pool and no read of the CPU affinity
+        return []
     rows = min(config.batch, config.trials)
     streams: dict[tuple, dict] = {}
     for i, (link, which) in enumerate(requests):

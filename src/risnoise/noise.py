@@ -4,10 +4,13 @@ Every noise power in the package flows through this module: the receiver
 AWGN floor k*T*B*NF, the aggregate RIS thermal noise N*alpha*k*T*B, and the
 derived SINR dials (rho, psi, lambda, threshold).  Powers are linear watts
 internally; dB values (dBW) appear only at I/O boundaries.  SystemParams
-is frozen and checked against RULES when built.  The public helpers check
-the raw numbers they take, so building one link (outage.build_link_model)
-runs the rule table eight more times on values already checked or derived
-from them.
+is frozen and checked against RULES when built.  Each public helper
+(receiver_noise_power, ris_noise_power, path_loss, sinr_threshold) is
+check() on the raw numbers it takes plus a private body that does not
+check; hop_powers, build_noise_budget and the link builder
+(outage.build_link_models) read a built SystemParams through those bodies,
+so no field is checked twice.  A body still refuses a result its checked
+inputs can put past the double range.
 """
 from __future__ import annotations
 
@@ -138,6 +141,10 @@ def receiver_noise_power(temp: float = T_DEFAULT, bw: float = B_DEFAULT,
     nf is the linear noise figure (>= 1); nf = 1 gives the bare k*T*B floor.
     """
     check(temp=temp, bw=bw, nf=nf)
+    return _receiver_noise_power(temp, bw, nf)
+
+
+def _receiver_noise_power(temp: float, bw: float, nf: float) -> float:
     power = (BOLTZMANN * temp * bw) * nf
     if not 0.0 < power <= _MAX:
         # the noise budget divides by it
@@ -154,6 +161,10 @@ def ris_noise_power(n: int, alpha: float, temp: float = T_DEFAULT,
     bit-exactly: ris_noise_power(n, a) == n*a*ris_noise_power(1, 1.0).
     """
     check(n=n, alpha=alpha, temp=temp, bw=bw)
+    return _ris_noise_power(n, alpha, temp, bw)
+
+
+def _ris_noise_power(n: int, alpha: float, temp: float, bw: float) -> float:
     return (n * alpha) * (BOLTZMANN * temp * bw)
 
 
@@ -164,6 +175,10 @@ def path_loss(distance: float, exponent: float, phi_ref: float = 1.0) -> float:
     convention used by the bundled reference results.
     """
     check(distance=distance, exponent=exponent, phi_ref=phi_ref)
+    return _path_loss(distance, exponent, phi_ref)
+
+
+def _path_loss(distance: float, exponent: float, phi_ref: float) -> float:
     try:
         # math.pow works in doubles, where an int power of an int would not
         omega = phi_ref * math.pow(distance, -exponent)
@@ -179,6 +194,10 @@ def path_loss(distance: float, exponent: float, phi_ref: float = 1.0) -> float:
 def sinr_threshold(rate: float, bw: float) -> float:
     """Outage SINR threshold 2^(rate/bw) - 1 for target rate in bit/s."""
     check(rate=rate, bw=bw)
+    return _sinr_threshold(rate, bw)
+
+
+def _sinr_threshold(rate: float, bw: float) -> float:
     x = rate / bw
     if x >= 1024.0:
         # 2**1024 is past the largest double
@@ -226,12 +245,13 @@ class SystemParams:
 
 def hop_powers(params: SystemParams) -> tuple[float, float]:
     """Mean channel powers (omega_bn, omega_nd) of the two hops."""
-    # path_loss names its own arguments; a refusal names the hop's fields
+    # the path-loss body names its own arguments; a refusal names the hop's
+    # fields
     hop = "d_bn, tau_bn, phi_ref"
     try:
-        omega_bn = path_loss(params.d_bn, params.tau_bn, params.phi_ref)
+        omega_bn = _path_loss(params.d_bn, params.tau_bn, params.phi_ref)
         hop = "d_nd, tau_nd, phi_ref"
-        omega_nd = path_loss(params.d_nd, params.tau_nd, params.phi_ref)
+        omega_nd = _path_loss(params.d_nd, params.tau_nd, params.phi_ref)
     except ValueError as exc:
         raise ValueError(f"{hop}: {exc}") from None
     return omega_bn, omega_nd
@@ -257,34 +277,40 @@ def build_noise_budget(params: SystemParams) -> NoiseBudget:
     what the bundled reference outage/throughput results assume.  Build
     params with ris_noise=False (or sigma_r2=0) for the noiseless variant.
     """
+    sigma_d2, sigma_r2, lam = _noise_powers(params)
+    rho, psi = _signal_scale(params.pb, params.alpha, sigma_d2)
+    return NoiseBudget(sigma_d2=sigma_d2, sigma_r2=sigma_r2, lam=lam, rho=rho,
+                       psi=psi, ups_th=_sinr_threshold(params.rate, params.bw))
+
+
+def _noise_powers(params: SystemParams) -> tuple[float, float, float]:
+    """(sigma_d2, sigma_r2, lam) of built params: the budget's part that
+    does not read pb."""
     sigma_d2 = params.sigma_d2 if params.sigma_d2 is not None \
-        else receiver_noise_power(params.temp, params.bw, params.nf)
+        else _receiver_noise_power(params.temp, params.bw, params.nf)
     if not params.ris_noise:
         sigma_r2 = 0.0
     elif params.sigma_r2 is not None:
         sigma_r2 = params.sigma_r2
     else:
-        sigma_r2 = ris_noise_power(params.n, params.alpha, params.temp, params.bw)
-    lam = params.alpha * sigma_r2 / sigma_d2
-    rho = params.pb / sigma_d2
-    psi = rho * params.alpha
+        sigma_r2 = _ris_noise_power(params.n, params.alpha, params.temp, params.bw)
+    return sigma_d2, sigma_r2, params.alpha * sigma_r2 / sigma_d2
+
+
+def _signal_scale(pb: float, alpha: float, sigma_d2: float) -> tuple[float, float]:
+    """(rho, psi) = (pb/sigma_d2, rho*alpha), refusing a psi of 0 or inf."""
+    rho = pb / sigma_d2
+    psi = rho * alpha
     if psi == 0.0:
         # the outage thresholds divide by it
         raise ValueError(f"pb: the signal scale pb*alpha/sigma_d2 underflows "
-                         f"to 0, got pb={params.pb!r}, alpha={params.alpha!r}, "
+                         f"to 0, got pb={pb!r}, alpha={alpha!r}, "
                          f"sigma_d2={sigma_d2!r}")
     if psi == math.inf:
         raise ValueError(f"pb: the signal scale pb*alpha/sigma_d2 is past the "
-                         f"double range, got pb={params.pb!r}, "
-                         f"alpha={params.alpha!r}, sigma_d2={sigma_d2!r}")
-    return NoiseBudget(
-        sigma_d2=sigma_d2,
-        sigma_r2=sigma_r2,
-        lam=lam,
-        rho=rho,
-        psi=psi,
-        ups_th=sinr_threshold(params.rate, params.bw),
-    )
+                         f"double range, got pb={pb!r}, "
+                         f"alpha={alpha!r}, sigma_d2={sigma_d2!r}")
+    return rho, psi
 
 
 TABLE_ALPHAS = tuple(round(0.1 * i, 1) for i in range(1, 11))

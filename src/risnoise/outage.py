@@ -29,6 +29,13 @@ scipy.integrate (through integrate_semi_infinite) and power_for_outage
 scipy.optimize, each on first call, so evaluating a bound loads none of
 them.
 
+A link comes from build_link_models (build_link_model is its one-item
+case), which reads a built SystemParams through the unchecked formula
+bodies of noise and fading and derives once what the params of a pb-free
+group share.  The values checked after that are the derived ones: the
+cascade moments (gamma_approx), each pass's xi1 and xi2 factors, in one
+test, and the outages a sweep writes, in one test per point.
+
 A sweep makes one analytic pass: outage_reports takes its links and the
 modes of ANALYTIC_MODES it selects, and forms only the pairs they need,
 (link, ups) for analytic_lb and (link, 2*ups) for analytic_ub.  The xi1
@@ -40,6 +47,7 @@ outage_report are one-link calls of it, so the bounds are composed once.
 """
 from __future__ import annotations
 
+import marshal
 import math
 from dataclasses import dataclass, replace
 
@@ -47,10 +55,10 @@ import numpy as np
 from scipy.special import gammainc, gammaincc, logsumexp
 
 from . import specfun
-from .fading import (CascadeApprox, cascade_moments, cdf_X, gamma_approx, pdf_Y,
-                     y_gamma_params)
-from .noise import (NoiseBudget, SystemParams, build_noise_budget, check, hop_powers,
-                    watts_from_db)
+from .fading import (CascadeApprox, _cascade_moments, _y_gamma_params, cdf_X,
+                     gamma_approx, pdf_Y)
+from .noise import (NoiseBudget, SystemParams, _noise_powers, _signal_scale,
+                    _sinr_threshold, check, hop_powers, watts_from_db)
 from .specfun import (
     SLATER_GOOD_DIGITS,
     AccuracyError,
@@ -77,27 +85,65 @@ class LinkModel:
     y_rate: float    # Gamma rate of Y
 
 
+def build_link_models(params_seq) -> list[LinkModel]:
+    """The LinkModel of each SystemParams, in order: the one route to a link.
+
+    Params that differ in pb alone, field by field and bit by bit, share
+    one derivation of the noise powers, the threshold, the hop powers, the
+    cascade match and the Y law; each link forms its own rho and psi from
+    its own pb.  Bitwise, because sigma_r2 = -0.0 compares equal to 0.0 and
+    gives lam = -0.0.  Every params raises what it would raise alone, in
+    the same order, so the first that cannot be built names its refusal.
+    """
+    # per pb-free key: (sigma_d2, sigma_r2, lam), then the rest of the link
+    powers, shared = {}, {}
+    links = []
+    for params in params_seq:
+        if not isinstance(params, SystemParams):
+            raise ValueError(f"params: SystemParams required, got a "
+                             f"{type(params).__name__}")
+        fields = vars(params).copy()
+        del fields["pb"]
+        # marshal writes a float's 8 bytes, and ints, bools and None by type
+        key = marshal.dumps(tuple(fields.values()))
+        if key not in powers:
+            powers[key] = _noise_powers(params)
+        sigma_d2, sigma_r2, lam = powers[key]
+        # pb's refusals come before the threshold's, as in build_noise_budget
+        rho, psi = _signal_scale(params.pb, params.alpha, sigma_d2)
+        if key not in shared:
+            ups_th = _sinr_threshold(params.rate, params.bw)
+            omega_bn, omega_nd = hop_powers(params)
+            mu, sigma2 = _cascade_moments(params.n, params.m_bn, params.m_nd,
+                                          omega_bn, omega_nd)
+            try:
+                approx = gamma_approx(mu, sigma2)
+            except ValueError as exc:
+                # gamma_approx names its own arguments; name the fields that
+                # set them: small mean hop powers underflow the mean or the
+                # shape (and with huge shapes the variance), n and the shapes
+                # overflow the shape
+                if mu * mu == 0.0:
+                    names = "d_bn, d_nd, tau_bn, tau_nd, phi_ref"
+                elif sigma2 == 0.0:
+                    names = "m_bn, m_nd, d_bn, d_nd, tau_bn, tau_nd, phi_ref"
+                else:
+                    names = "n, m_bn, m_nd"
+                raise ValueError(f"{names}: the cascade moments are refused: "
+                                 f"{exc}") from None
+            shared[key] = (ups_th, omega_bn, omega_nd, approx,
+                           *_y_gamma_params(params.n, params.m_nd, omega_nd))
+        ups_th, omega_bn, omega_nd, approx, y_shape, y_rate = shared[key]
+        links.append(LinkModel(
+            params=params, budget=NoiseBudget(sigma_d2, sigma_r2, lam, rho, psi, ups_th),
+            omega_bn=omega_bn, omega_nd=omega_nd, approx=approx,
+            y_shape=y_shape, y_rate=y_rate))
+    return links
+
+
 def build_link_model(params: SystemParams) -> LinkModel:
-    budget = build_noise_budget(params)
-    omega_bn, omega_nd = hop_powers(params)
-    mu, sigma2 = cascade_moments(params.n, params.m_bn, params.m_nd, omega_bn, omega_nd)
-    try:
-        approx = gamma_approx(mu, sigma2)
-    except ValueError as exc:
-        # gamma_approx names its own arguments; name the fields that set
-        # them: small mean hop powers underflow the mean or the shape (and
-        # with huge shapes the variance), n and the shapes overflow the shape
-        if mu * mu == 0.0:
-            names = "d_bn, d_nd, tau_bn, tau_nd, phi_ref"
-        elif sigma2 == 0.0:
-            names = "m_bn, m_nd, d_bn, d_nd, tau_bn, tau_nd, phi_ref"
-        else:
-            names = "n, m_bn, m_nd"
-        raise ValueError(f"{names}: the cascade moments are refused: {exc}") from None
-    y_shape, y_rate = y_gamma_params(params.n, params.m_nd, omega_nd)
-    return LinkModel(params=params, budget=budget, omega_bn=omega_bn,
-                     omega_nd=omega_nd, approx=approx,
-                     y_shape=y_shape, y_rate=y_rate)
+    """The LinkModel of one SystemParams: build_link_models on it alone."""
+    return build_link_models([params])[0]
 
 
 def _threshold(link: LinkModel, ups: float | None) -> float:
@@ -345,7 +391,21 @@ def compose_outage(xi1: float, xi2: float) -> float:
     when either factor is 1 and, by monotone rounding, never exceeds 1.
     """
     check(xi1=xi1, xi2=xi2)
+    return _compose(xi1, xi2)
+
+
+def _compose(xi1: float, xi2: float) -> float:
     return xi1 + xi2 * (1.0 - xi1)
+
+
+def _check_probabilities(names: tuple[str, ...], rows) -> None:
+    """Refuse a NaN or a value outside [0, 1] among rows of probabilities
+    named by names, in one pass over them all; the first bad row is refused
+    as check(**dict(zip(names, row))) refuses it."""
+    # NaN fails both comparisons
+    if not all(0.0 <= v <= 1.0 for row in rows for v in row):
+        for row in rows:
+            check(**dict(zip(names, row)))
 
 
 def outage_lb(link: LinkModel) -> float:
@@ -407,6 +467,10 @@ def diversity_order(approx: CascadeApprox) -> float:
 def throughput(outage: float, rate: float) -> float:
     """Effective rate (1 - outage) * rate in bit/s."""
     check(outage=outage, rate=rate)
+    return _throughput(outage, rate)
+
+
+def _throughput(outage: float, rate: float) -> float:
     return (1.0 - outage) * rate
 
 
@@ -455,20 +519,30 @@ def outage_reports(links, modes=tuple(ANALYTIC_MODES)) -> list[OutageReport]:
         if not isinstance(link, LinkModel):
             raise ValueError(f"links: LinkModel required, got a {type(link).__name__}; "
                              "build_link_model(params) builds the link")
-    lb, ub = "analytic_lb" in modes, "analytic_ub" in modes
+    lb, ub, asym = (mode in modes for mode in ANALYTIC_MODES)
     pairs = [(link, link.budget.ups_th) for link in links if lb] \
         + [(link, _doubled_threshold(link)) for link in links if ub]
-    values = iter(zip(_xi1_values(pairs), _xi2_values(pairs)))
-    # (xi1, xi2) of every link at ups, then the upper bound of every link
-    at_ups = [next(values) if lb else (None, None) for _ in links]
-    po_ub = [compose_outage(*next(values)) if ub else None for _ in links]
+    factors = iter(zip(_xi1_values(pairs), _xi2_values(pairs)))
+    # (xi1, xi2) of each link at ups, at 2*ups and at the asymptote; None
+    # where its mode is not selected
+    at_ups = [next(factors) if lb else None for _ in links]
+    at_twice = [next(factors) if ub else None for _ in links]
+    asymptotic = [(xi1_asymptotic(link), xi2_asymptotic(link)) if asym else None
+                  for link in links]
+    # every factor of the pass in one test; a bad pair is named in the order
+    # the compositions checked them one by one: the upper bounds, then each
+    # link's lower bound and asymptote
+    in_order = at_twice + [f for per_link in zip(at_ups, asymptotic) for f in per_link]
+    _check_probabilities(("xi1", "xi2"), [f for f in in_order if f is not None])
     reports = []
-    for link, (x1_lb, x2_lb), ub_value in zip(links, at_ups, po_ub):
-        po_lb = compose_outage(x1_lb, x2_lb) if lb else None
+    for link, f_lb, f_ub, f_asym in zip(links, at_ups, at_twice, asymptotic):
+        x1, x2 = f_lb or (None, None)
+        po_lb = None if f_lb is None else _compose(x1, x2)
         reports.append(OutageReport(
-            xi1=x1_lb, xi2=x2_lb, outage_lb=po_lb, outage_ub=ub_value,
-            outage_asym=outage_asymptotic(link) if "asymptotic" in modes else None,
-            throughput=throughput(po_lb, link.params.rate) if lb else None,
+            xi1=x1, xi2=x2, outage_lb=po_lb,
+            outage_ub=None if f_ub is None else _compose(*f_ub),
+            outage_asym=None if f_asym is None else _compose(*f_asym),
+            throughput=None if po_lb is None else _throughput(po_lb, link.params.rate),
             reliability_flag=reliability_flag(link.budget.lam)))
     return reports
 

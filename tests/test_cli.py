@@ -403,24 +403,82 @@ class TestSweepCsv:
 
     def test_each_point_builds_its_params_and_links_once(self, tmp_path,
                                                          monkeypatch):
-        # one SystemParams and one link per grid value and noise setting:
-        # 3 values x (noisy, noiseless), whatever the 12 rows per value
-        built = {"params": 0, "links": 0}
+        # one SystemParams per grid value and noise setting, and all 6 links
+        # (3 values x noisy, noiseless) from one build_link_models call,
+        # whatever the 12 rows per value.  The three noisy links share one
+        # pb-free derivation, and so do the three noiseless ones.
+        built = {"params": 0, "calls": 0, "links": 0, "noise powers": 0, "hops": 0}
         check = noise.SystemParams.__post_init__
 
         def counted_check(params):
             built["params"] += 1
             check(params)
 
-        def counted_link(params):
-            built["links"] += 1
-            return outage.build_link_model(params)
+        def counted_links(params_seq):
+            built["calls"] += 1
+            links = outage.build_link_models(params_seq)
+            built["links"] += len(links)
+            return links
+
+        def counted(key, f):
+            def call(*args):
+                built[key] += 1
+                return f(*args)
+            return call
 
         monkeypatch.setattr(noise.SystemParams, "__post_init__", counted_check)
-        monkeypatch.setattr(cli, "build_link_model", counted_link)
+        monkeypatch.setattr(cli, "build_link_models", counted_links)
+        monkeypatch.setattr(outage, "_noise_powers",
+                            counted("noise powers", outage._noise_powers))
+        monkeypatch.setattr(outage, "hop_powers", counted("hops", outage.hop_powers))
         run_sweep(write_config(tmp_path, EVERY_MODE_SWEEP),
                   str(tmp_path / "every.csv"), workers=1)
-        assert built == {"params": 6, "links": 6}
+        assert built == {"params": 6, "calls": 1, "links": 6, "noise powers": 2,
+                         "hops": 2}
+
+    def test_an_analytic_sweep_checks_each_value_once(self, tmp_path, monkeypatch):
+        # 5 powers, noisy and noiseless: the rule table runs on the config
+        # (11), the 10 params, the Monte Carlo settings and the 2 derived
+        # cascade moments, and on nothing derived from them again (167 runs
+        # when each link re-checked its fields and each output its value)
+        runs = []
+        problems = noise._problems
+
+        def counted(values):
+            runs.append(tuple(values))
+            return problems(values)
+
+        hops = []
+        monkeypatch.setattr(noise, "_problems", counted)
+        monkeypatch.setattr(outage, "hop_powers",
+                            lambda params: hops.append(params) or noise.hop_powers(params))
+        config = write_config(tmp_path, (
+            "start: -72.0\nstop: -50.0\npoints: 5\nfixed: {n: 10, d_nd: 2.0}\n"
+            "modes: [analytic_lb, analytic_ub, asymptotic, noiseless_variant]\n"))
+        assert run_sweep(config, str(tmp_path / "out.csv"), workers=1) == 30
+        assert len(runs) <= 24, runs
+        assert [p.ris_noise for p in hops] == [True, False]
+
+    @pytest.mark.parametrize("target, fault, line", [
+        (outage, "_xi2_values", "xi2: finite number required, got nan"),
+        (cli, "estimate_outages", "outage: finite number required, got nan"),
+    ])
+    def test_a_nan_output_is_refused_not_written(self, tmp_path, monkeypatch,
+                                                 target, fault, line):
+        real = getattr(target, fault)
+
+        def nan_at_second(*args, **kwargs):
+            values = real(*args, **kwargs)
+            if len(values) > 1:
+                values[1] = (math.nan if fault == "_xi2_values"
+                             else mcsim.McEstimate(math.nan, 0.0, 1.0, 1000))
+            return values
+
+        monkeypatch.setattr(target, fault, nan_at_second)
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=line):
+            run_sweep(write_config(tmp_path, SMALL_SWEEP), str(out), workers=1)
+        assert not out.exists()
 
     def test_analytic_rows_do_not_depend_on_worker_count(self, tmp_path):
         # analytic rows run in double precision and touch no mpmath; the
@@ -477,6 +535,12 @@ class TestGnuplot:
         assert "'analytic_lb'" in text and "'mc_exact'" in text
 
 
+def nan_at_second_call(f):
+    """f, returning NaN at its second call."""
+    calls = itertools.count(1)
+    return lambda *a, **kw: math.nan if next(calls) == 2 else f(*a, **kw)
+
+
 class TestValidate:
     def test_fast_level_is_green(self):
         passed, lines = validate("fast")
@@ -511,13 +575,21 @@ class TestValidate:
          lambda f: lambda link: math.nextafter(f(link), math.inf)),
         ("asymptote-slope", cli, "outage_asymptotic",
          lambda f: lambda link: f(link) ** (1.0 + 1e-6)),
-        ("mc-moments", outage, "cascade_moments",
+        ("mc-moments", outage, "_cascade_moments",
          lambda f: lambda *a: (1.01 * f(*a)[0], f(*a)[1])),
         ("mc-sandwich", cli, "sinr_bounds", lambda f: lambda *a: f(*a)[::-1]),
     ]
 
-    @pytest.mark.parametrize("check, module, name, fault", PLANTED_FAULTS,
-                             ids=[fault[0] for fault in PLANTED_FAULTS])
+    # NaN loses every comparison: a check that took the worst gap by max()
+    # or `>` passed it over at any point but the first
+    NAN_FAULTS = [
+        ("kummer-transform", specfun, "kummer_1f1", nan_at_second_call),
+        ("series-vs-quadrature", cli, "xi1_closed", nan_at_second_call),
+    ]
+
+    @pytest.mark.parametrize("check, module, name, fault", PLANTED_FAULTS + NAN_FAULTS,
+                             ids=[fault[0] for fault in PLANTED_FAULTS]
+                             + [fault[0] + "-nan" for fault in NAN_FAULTS])
     def test_a_fault_in_what_a_shared_check_measures_fails_it(
             self, monkeypatch, check, module, name, fault):
         # the release gate calls the same body, so a body that could not

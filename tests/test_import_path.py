@@ -1,8 +1,9 @@
 """What a sweep imports, the module entry point, the package names the
-benchmark under perfbench/ looks up, and the one body per check that
-validate and the release gates share."""
+benchmark under perfbench/ looks up, the one body per check that validate
+and the release gates share, and the one route to a link."""
 import ast
 import importlib
+import itertools
 import importlib.util
 import json
 import os
@@ -255,3 +256,103 @@ class TestOneBodyPerCheck:
                       and isinstance(node.func, ast.Attribute)
                       and getattr(node.func.value, "id", None) == "cli"}
         assert gate_calls == SHARED_CHECK_BODIES
+
+    def test_only_the_shared_bodies_measure_gate_11s_identities(self):
+        # the unit tests of specfun measure gate 11's points through these
+        # bodies too, so a kernel's tolerance for the identity is stated once
+        assert _gate11_measurers(PACKAGE / "cli.py") == {
+            "_gamma_identity_error", "_kummer_transform_error",
+            "_meijer_dual_route_error"}
+        for path in (ACCEPTANCE, ROOT / "tests" / "test_specfun.py"):
+            assert _gate11_measurers(path) == set(), path.name
+
+
+def _callee(call: ast.Call):
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def _gate11_measurers(path: Path) -> set[str]:
+    """The functions and methods of a file that measure one of gate 11's
+    identities by their own route: the unregularized lower incomplete gamma
+    (meijer_g_1_1_1_2's reference), 1F1 at a negated argument (Kummer's
+    transform), or the contour route's value meeting the Slater route's in
+    one call, directly or through a name assigned from it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    defs += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+             if isinstance(cls, ast.ClassDef)
+             for node in cls.body if isinstance(node, ast.FunctionDef)]
+    return {name for name, func in defs if any(
+        _measures_gate11(call, _routes_in(func))
+        for call in ast.walk(func) if isinstance(call, ast.Call))}
+
+
+def _routes_in(func: ast.FunctionDef):
+    """A function from an expression of func to the names of the functions
+    whose values reach it: the calls in it, and those assigned to its names."""
+    assigned = {}
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign):
+            called = {_callee(c) for c in ast.walk(node.value) if isinstance(c, ast.Call)}
+            assigned.update((t.id, called) for t in node.targets if isinstance(t, ast.Name))
+
+    def routes(expr) -> set:
+        out = set()
+        for sub in ast.walk(expr):
+            if isinstance(sub, ast.Call):
+                out.add(_callee(sub))
+            elif isinstance(sub, ast.Name):
+                out |= assigned.get(sub.id, set())
+        return out
+    return routes
+
+
+def _measures_gate11(call: ast.Call, routes) -> bool:
+    callee = _callee(call)
+    if callee == "gammainc":
+        return not any(k.arg == "regularized" for k in call.keywords)
+    if callee == "hyp1f1":
+        return any(isinstance(arg, ast.UnaryOp) and isinstance(arg.op, ast.USub)
+                   for arg in call.args)
+    reached = [routes(arg) for arg in (*call.args, *(k.value for k in call.keywords))]
+    return any("meijer_g_2_1_1_2" in a and "meijer_g_2_1_1_2_contour" in b
+               for a, b in itertools.permutations(reached, 2))
+
+
+def _package_functions() -> dict[str, ast.FunctionDef]:
+    return {node.name: node for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def _calls(func: ast.FunctionDef) -> set[str]:
+    return {_callee(node) for node in ast.walk(func) if isinstance(node, ast.Call)}
+
+
+class TestOneLinkRoute:
+    """A sweep's links come from one build_link_models call, which reads a
+    built SystemParams through the unchecked formula bodies; the sweep's
+    outputs are checked once per pass or per point.  A call of a checked
+    helper on this path would re-check a value already checked."""
+
+    ON_THE_SWEEP_PATH = ("run_sweep", "build_link_models", "build_noise_budget",
+                         "hop_powers", "outage_reports", "_point_rows")
+
+    def test_the_sweep_path_calls_no_checked_helper(self):
+        functions = _package_functions()
+        # the public functions that check their own arguments; gamma_approx
+        # checks the derived cascade moments, which no earlier check covers
+        checked = {name for name, func in functions.items()
+                   if not name.startswith("_") and "check" in _calls(func)}
+        assert {"receiver_noise_power", "ris_noise_power", "path_loss",
+                "sinr_threshold", "cascade_moments", "y_gamma_params",
+                "compose_outage", "throughput", "gamma_approx"} <= checked
+        checked.discard("gamma_approx")
+        assert {name: sorted(_calls(functions[name]) & checked)
+                for name in self.ON_THE_SWEEP_PATH} \
+            == {name: [] for name in self.ON_THE_SWEEP_PATH}
+
+    def test_only_build_link_models_constructs_a_link(self):
+        builders = [name for name, func in _package_functions().items()
+                    if "LinkModel" in _calls(func)]
+        assert builders == ["build_link_models"]

@@ -132,16 +132,19 @@ def test_path_loss():
 
 def test_path_loss_is_called_only_inside_hop_powers():
     # noise.hop_powers is the one derivation of the two hop powers; a second
-    # caller would derive them again, by its own route
-    callers = []
+    # caller would derive them again, by its own route.  The path-loss body
+    # is reached only through the checked path_loss and through hop_powers.
+    callers = {"path_loss": [], "_path_loss": []}
     for path in sorted(Path(risnoise.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and "path_loss" in (
-                        getattr(node.func, "id", None),
-                        getattr(node.func, "attr", None)):
-                    callers.append((path.name, getattr(top, "name", None)))
-    assert callers == [("noise.py", "hop_powers")] * 2
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in callers:
+                        callers[name].append((path.name, getattr(top, "name", None)))
+    assert callers == {"path_loss": [],
+                       "_path_loss": [("noise.py", "path_loss")]
+                       + [("noise.py", "hop_powers")] * 2}
 
 
 def test_path_loss_refuses_a_result_past_the_double_range():

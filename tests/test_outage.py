@@ -1,7 +1,8 @@
 import itertools
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, fields, replace
+from dataclasses import astuple, fields, is_dataclass, replace
 
 import mpmath as mp
 import numpy as np
@@ -9,13 +10,22 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import special
 
-from risnoise import outage
-from risnoise.noise import SystemParams
+from risnoise import noise, outage
+from risnoise.fading import cascade_moments, gamma_approx, y_gamma_params
+from risnoise.noise import (
+    NoiseBudget,
+    SystemParams,
+    path_loss,
+    receiver_noise_power,
+    ris_noise_power,
+    sinr_threshold,
+)
 from risnoise.outage import (
     ANALYTIC_MODES,
     LinkModel,
     OutageReport,
     build_link_model,
+    build_link_models,
     compose_outage,
     diversity_order,
     evaluate_mode,
@@ -612,3 +622,75 @@ def test_build_link_model_assembly():
     assert link.y_rate == 8.0
     assert link.approx.delta_int == 36
     assert_allclose(link.budget.lam, 4.0596166, atol=5e-7)
+
+
+def bits(value):
+    """value with each float as its hex string and each dataclass as the
+    tuple of its fields: equal only where equal bit for bit."""
+    if is_dataclass(value):
+        return tuple(bits(getattr(value, f.name)) for f in fields(value))
+    return value.hex() if type(value) is float else value
+
+
+def reference_link(p: SystemParams) -> LinkModel:
+    """The link of p derived field by field through the checked public
+    helpers, with nothing shared between params."""
+    sigma_d2 = p.sigma_d2 if p.sigma_d2 is not None \
+        else receiver_noise_power(p.temp, p.bw, p.nf)
+    sigma_r2 = (0.0 if not p.ris_noise else p.sigma_r2 if p.sigma_r2 is not None
+                else ris_noise_power(p.n, p.alpha, p.temp, p.bw))
+    rho = p.pb / sigma_d2
+    budget = NoiseBudget(sigma_d2, sigma_r2, p.alpha * sigma_r2 / sigma_d2, rho,
+                         rho * p.alpha, sinr_threshold(p.rate, p.bw))
+    omega_bn = path_loss(p.d_bn, p.tau_bn, p.phi_ref)
+    omega_nd = path_loss(p.d_nd, p.tau_nd, p.phi_ref)
+    approx = gamma_approx(*cascade_moments(p.n, p.m_bn, p.m_nd, omega_bn, omega_nd))
+    return LinkModel(p, budget, omega_bn, omega_nd, approx,
+                     *y_gamma_params(p.n, p.m_nd, omega_nd))
+
+
+class TestBuildLinkModels:
+    def test_a_mixed_list_is_built_bit_for_bit_as_one_at_a_time(self, monkeypatch):
+        # two powers (the slowest index, so each pb-free group comes round
+        # twice), two n, two d_nd, and four noise settings: sigma_r2 = -0.0
+        # compares equal to 0.0 but gives lam = -0.0, so it is its own group
+        noise_settings = ({}, {"ris_noise": False}, {"sigma_r2": 0.0},
+                          {"sigma_r2": -0.0})
+        seq = [SystemParams(pb=pb, n=n, d_nd=d_nd, **kw) for pb, n, d_nd, kw
+               in itertools.product((1e-6, 1e-7), (5, 10), (2.0, 5.0), noise_settings)]
+        hops = []
+        monkeypatch.setattr(outage, "hop_powers",
+                            lambda params: hops.append(params) or noise.hop_powers(params))
+        links = build_link_models(seq)
+        assert len(hops) == 16
+        assert [link.params for link in links] == seq
+        assert [bits(link) for link in links] \
+            == [bits(build_link_model(p)) for p in seq] \
+            == [bits(reference_link(p)) for p in seq]
+        lams = {bits(link.budget.lam) for link in links if link.params.sigma_r2 == 0.0}
+        assert lams == {(0.0).hex(), (-0.0).hex()}
+
+    @pytest.mark.parametrize("pb, sigma_d2, message", [
+        (5e-324, 1e10, "pb: the signal scale pb*alpha/sigma_d2 underflows to 0, "
+                       "got pb=5e-324, alpha=0.9, sigma_d2=10000000000.0"),
+        (1e300, 1e-20, "pb: the signal scale pb*alpha/sigma_d2 is past the double "
+                       "range, got pb=1e+300, alpha=0.9, sigma_d2=1e-20"),
+    ])
+    def test_a_signal_scale_past_the_double_range_is_refused(self, pb, sigma_d2,
+                                                             message):
+        # after a good pb of its pb-free group, whose derivation it shares,
+        # as alone
+        good = SystemParams(sigma_d2=sigma_d2)
+        for seq in ([good, replace(good, pb=pb)], [replace(good, pb=pb)]):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build_link_models(seq)
+
+    def test_a_params_is_refused_in_the_order_it_is_derived(self):
+        # pb's refusal comes before that of a hop power that underflows, as
+        # build_noise_budget raises it before hop_powers runs
+        with pytest.raises(ValueError, match="^pb: the signal scale"):
+            build_link_models([SystemParams(pb=5e-324, sigma_d2=1e10, d_bn=1e300)])
+
+    def test_only_system_params_are_built(self):
+        with pytest.raises(ValueError, match="params: SystemParams required, got a dict"):
+            build_link_models([{"n": 5}])

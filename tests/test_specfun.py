@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate, special
 
-from risnoise import specfun
+from risnoise import cli, specfun
 from risnoise.specfun import (
     AccuracyError,
     UnsupportedShapeError,
@@ -109,21 +109,18 @@ class TestKummer:
     def test_reflection_identity_against_independent_reference(self, a, b, z):
         # 1F1(a;b;z) = e^z 1F1(b-a;b;-z); the right side comes from mpmath,
         # so the identity holds scipy's hyp1f1, which kummer_1f1 wraps, to
-        # an implementation it shares no code with
-        lhs = kummer_1f1(a, b, z)
-        with mp.workdps(30):
-            rhs = math.exp(z) * float(mp.hyp1f1(b - a, b, -z))
-        assert_allclose(lhs, rhs, rtol=1e-9)
+        # an implementation it shares no code with.  Measured by the body
+        # validate's kummer-transform check and release gate 11 share.
+        assert cli._kummer_transform_error([(a, b, z)]) <= 1e-9
 
 
 class TestMeijerG1112:
     @pytest.mark.parametrize("delta,x", [(1.0, 0.5), (2.0, 3.0), (17.8, 10.0),
                                          (35.6, 30.0), (5.5, 0.01)])
     def test_is_lower_incomplete_gamma(self, delta, x):
-        got = meijer_g_1_1_1_2(delta, x)
-        with mp.workdps(30):
-            want = float(mp.gammainc(delta, 0, x))
-        assert_allclose(got, want, rtol=1e-12)
+        # against mpmath's lower incomplete gamma, by the body validate's
+        # gamma-identity check and release gate 11 share
+        assert cli._gamma_identity_error([delta], [x]) <= 1e-12
 
     def test_against_mpmath_meijerg(self):
         for delta, x in [(2.0, 1.5), (4.5, 3.0), (17.8, 10.0)]:
@@ -179,9 +176,9 @@ class TestMeijerG2112:
 
     @pytest.mark.parametrize("a1,z", G_CASES)
     def test_dual_route_agreement(self, a1, z):
-        slater = meijer_g_2_1_1_2(a1, z)
-        contour = meijer_g_2_1_1_2_contour(a1, z)
-        assert_allclose(slater, contour, rtol=1e-9)
+        # by the body validate's meijer-dual-route check and release gate 11
+        # share
+        assert cli._meijer_dual_route_error([(a1, z)]) <= 1e-9
 
     @pytest.mark.parametrize("a1,z", [(1.0 - 10.0, 0.1), (1.0 - 12.5, 0.5),
                                       (1.0 - 3.5, 2.0), (1.0 - 12.0, 3.0)])
