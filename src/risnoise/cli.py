@@ -18,7 +18,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields as dc_fields, replace
+from dataclasses import dataclass, field, fields as dc_fields
 from importlib import resources
 
 import numpy as np
@@ -331,7 +331,7 @@ def run_sweep(config: str, out_path: str, *, seed: int | None = None,
     params = {v: _params_at(grid, v) for v in values}
     keys = [(v, q) for v in values for q in {quiet for _, quiet, _ in variants}]
     links = dict(zip(keys, build_link_models(
-        replace(params[v], ris_noise=False) if q else params[v] for v, q in keys)))
+        params[v].noiseless() if q else params[v] for v, q in keys)))
     analytic = tuple(m for m in grid.modes if m in ANALYTIC_MODES)
     reports = (dict(zip(links, outage_reports(links.values(), analytic)))
                if analytic else {})

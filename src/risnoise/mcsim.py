@@ -39,8 +39,11 @@ idle (up to the CPUs the process may use) to its jobs as helpers, which
 draw later pieces of the job's stream from guessed Philox positions; the
 job stitches them in bit for bit (_gamma_stream), so the drawn bits and
 the generator's final state are those of one sequential fill whatever the
-helper count.  No more threads than RISNOISE_WORKERS run at once.
-estimate_outage builds its link before any draw.
+helper count.  At equal shapes one plan covers the job's whole stream, so
+the helpers draw on past the transmitter hop; once no piece is left for
+them, they reduce and count every other remaining block, and the job adds
+up the integer counts at the end.  No more threads than RISNOISE_WORKERS
+run at once.  estimate_outage builds its link before any draw.
 
 Counting follows the draw block by block, so no X or Y array of batch
 length is held.  Per block it checks X, Y >= 0 once, forms lam*Y once per
@@ -56,7 +59,7 @@ import math
 import operator
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,27 +156,32 @@ def _same_state(a, b) -> bool:
 
 
 def _gamma_stream(rng: np.random.Generator, shape: float, count: int, out=None,
-                  pool=None, helpers: int = 0, block: int = _BLOCK_AMPLITUDES):
+                  pool=None, helpers: int = 0, block: int = _BLOCK_AMPLITUDES,
+                  idle=None):
     """Yield rng's next count Gamma(shape) variates in consecutive pieces.
 
     The pieces hold the bits of rng.standard_gamma(shape, count), and the
-    generator is left where that call leaves it.  They are slices of out
-    when it is given, else fresh arrays; no buffer is reused, so a piece
-    stays valid after the next is drawn.  Without helpers, out is filled
-    in one piece, and fresh pieces are `block` variates long.  Returns
-    (stitched, fallbacks): the helper pieces used and those the calling
-    thread drew again.
+    generator is left where that call leaves it.  The first out.size
+    variates (none when out is None) fill out and come as slices of it,
+    the rest as fresh arrays; no piece straddles the end of out, and no
+    buffer is reused, so a piece stays valid after the next is drawn.
+    Without helpers, out is filled in one piece, and fresh pieces are
+    `block` variates long.  Returns (stitched, fallbacks): the helper
+    pieces used and those the calling thread drew again.
 
     With helpers > 0 (rng must be a Philox generator; pool runs the
     helpers' draws) and more than _PILOT variates to draw, the calling
     thread draws a pilot of _PILOT variates, which measures the mean and
-    the spread of the raws a variate takes at this shape.  After it, each
-    helper keeps _IN_HAND pieces of _PIECE variates in hand, each drawn
-    from a raw guessed from that rate and started early enough to join the
-    exact chain first.  The calling thread draws one piece in every
-    helpers + 1 when filling out, and one in every 2*(helpers + 1) when
-    yielding fresh pieces, as its time then also goes to what is done with
-    each piece.
+    the spread of the raws a variate takes at this shape.  One plan then
+    covers the whole run: each helper keeps _IN_HAND pieces of _PIECE
+    variates in hand, each drawn from a raw guessed from that rate and
+    started early enough to join the exact chain first.  Of the pieces
+    that start inside out the calling thread draws one in every
+    helpers + 1, and of those past it one in every 2*(helpers + 1), as its
+    time then also goes to what is done with each piece.  Once the plan
+    has no helper piece left to submit it calls idle(), if given, and
+    plans no more, so work handed to pool after that call queues behind
+    every helper draw.
 
     A helper piece is used from the first point where both chains reach
     the same full generator state: a value match of the exact chain's last
@@ -183,28 +191,37 @@ def _gamma_stream(rng: np.random.Generator, shape: float, count: int, out=None,
     such point, or one that would run past count, is drawn by the calling
     thread.
     """
+    filled = 0 if out is None else out.size
     done = stitched = fallbacks = 0
 
     def own(stop):
-        nonlocal done
-        piece = np.empty(stop - done) if out is None else out[done:stop]
+        # the calling thread's draw up to stop, in place where it falls in out
+        piece = out[done:stop] if stop <= filled else np.empty(stop - done)
         rng.standard_gamma(shape, out=piece)
-        done = stop
         return piece
 
+    def place(piece):
+        # piece continues the stream from done: the parts it yields, its
+        # head copied into out unless it was drawn there
+        nonlocal done
+        cut = min(piece.size, max(0, filled - done))
+        head = out[done:done + cut] if cut else piece[:0]
+        if cut and not np.may_share_memory(head, piece):
+            head[...] = piece[:cut]
+        done += piece.size
+        return [part for part in (head, piece[cut:]) if part.size]
+
     if not helpers or count <= _PILOT:
-        step = count if out is not None else block
         while done < count:
-            yield own(min(count, done + step))
+            yield from place(own(filled if done < filled else min(count, done + block)))
         return stitched, fallbacks
     bits = rng.bit_generator
     key = bits.state["state"]["key"]
     marks = [_raw_position(bits.state)]
-    piece = np.empty(_PILOT) if out is None else out[:_PILOT]
+    piece = out[:_PILOT] if filled >= _PILOT else np.empty(_PILOT)
     for part in np.array_split(piece, _PILOT_PARTS):
         rng.standard_gamma(shape, out=part)
         marks.append(_raw_position(bits.state))
-    done = _PILOT
     # a variate's raw count: its standard deviation from the parts' counts,
     # no less than 0.1 (about 0.3 at shape 2 and 0.8 at 0.5)
     sigma = max(0.1, float(np.std(np.diff(marks), ddof=1)) / math.sqrt(_PILOT / _PILOT_PARTS))
@@ -232,17 +249,21 @@ def _gamma_stream(rng: np.random.Generator, shape: float, count: int, out=None,
     pending = deque()   # the pieces after `done`: None for the caller's, else (early, job)
     planned = 0
     frontier = miss = 0   # where the next piece to plan starts, and by how many raws it may miss
+    closed = False        # no helper piece is left to plan
 
     def plan():
         # top up the helpers' pieces in hand, guessed from the exact state
-        nonlocal planned, frontier, miss
+        nonlocal planned, frontier, miss, closed
+        if closed:
+            return
         here = _raw_position(bits.state)
         rate = (here - marks[0]) / done
         if not pending:
             frontier, miss = done, 0.0
-        while (len(pending) - pending.count(None) < _IN_HAND * helpers
-               and count - frontier >= _PILOT):
-            if planned % ((helpers + 1) * (1 if out is not None else 2)) == 0:
+        while len(pending) - pending.count(None) < _IN_HAND * helpers:
+            if count - frontier < _PILOT:
+                break
+            if planned % ((helpers + 1) * (1 if frontier < filled else 2)) == 0:
                 pending.append(None)
                 frontier += _PIECE
             else:
@@ -257,18 +278,24 @@ def _gamma_stream(rng: np.random.Generator, shape: float, count: int, out=None,
                 back = _SLACK_RAWS + math.hypot(miss, spread)
                 covered = min(_PIECE, count - frontier - int((back - _SLACK_RAWS / 2) / rate))
                 if covered < _PILOT:   # the calling thread draws the rest
-                    return
+                    break
                 skip = max(0, int(here + ahead * rate - back) // 4)   # Philox blocks of 4 raws
                 early = int(back / rate)
                 pending.append((early, pool.submit(draw_ahead, skip, covered + early)))
                 frontier += covered
                 miss = spread
             planned += 1
+        else:
+            return
+        closed = True
+        if idle is not None:
+            idle()
 
     recent = piece[-_MATCH:]
+    parts = place(piece)
     while True:
         plan()
-        yield piece
+        yield from parts
         if done == count:
             return stitched, fallbacks
         entry, piece = pending.popleft() if pending else None, None
@@ -282,17 +309,14 @@ def _gamma_stream(rng: np.random.Generator, shape: float, count: int, out=None,
                 stitched += 1
                 bits.state = end
                 piece = drawn[at:]
-                if out is not None:
-                    out[done:done + piece.size] = piece
-                    piece = out[done:done + piece.size]
-                done += piece.size
         if piece is None:
             piece = own(min(count, done + _PIECE))
         recent = np.concatenate((recent, piece[-_MATCH:]))[-_MATCH:]
+        parts = place(piece)
 
 
 def _stream_blocks(rng: np.random.Generator, m_bn: float, m_nd: float,
-                   keys, size: int, pool=None, helpers: int = 0):
+                   keys, size: int, pool=None, helpers: int = 0, count=None):
     """Yield (j, rows, x, y): X and Y over a block of rows of keys[j].
 
     keys are (n, omega_bn, omega_nd) triples that read one stream: key j's
@@ -300,16 +324,29 @@ def _stream_blocks(rng: np.random.Generator, m_bn: float, m_nd: float,
     omega_bn/m_bn and rooted, and its |g_nd| rows the Gamma(m_nd) variates
     size*n to 2*size*n - 1.  So the keys must share their shapes, and their
     n too unless m_bn == m_nd.  The stream is drawn once, to 2*size*n_max,
-    through _gamma_stream (pool and helpers go to it): a head of size*n_max
-    Gamma(m_bn) variates holds every |g_bn| row (and, at equal shapes, the
-    |g_nd| rows of each key with 2n <= n_max); the rest comes in pieces,
-    which every key still reading takes in lockstep, in blocks of about
-    _BLOCK_AMPLITUDES, completing a row a piece left partial from the next.
+    through _gamma_stream (pool and helpers go to it): at equal shapes in
+    one run, whose one plan lets the helpers draw past the head while the
+    calling thread finishes it, else in a run per shape.  The head of
+    size*n_max variates is filled in place and holds every |g_bn| row (and,
+    at equal shapes, the |g_nd| rows of each key with 2n <= n_max); the
+    rest comes in pieces, which every key still reading takes in lockstep,
+    in blocks of about _BLOCK_AMPLITUDES, completing a row a piece left
+    partial from the next.
+
+    With count, a function of (j, rows, x, y), yield count's result for
+    each block in place of the block.  Once the last run's plan has no
+    helper piece left to submit, every other block from then on is reduced
+    and counted on pool, and its future is yielded; so the helpers count
+    the last blocks while no draw is left for them.
     """
     n_max = max(n for n, _, _ in keys)
     head = np.empty(size * n_max)
-    for _ in _gamma_stream(rng, m_bn, head.size, head, pool, helpers):
-        pass
+    handing = turn = False
+
+    def hand_over():
+        # the last run's helpers have no piece left to draw
+        nonlocal handing
+        handing = True
 
     def amplitudes(w, m, omega):
         # omega/m * w, rooted: the bits of fading.sample_nakagami's draw
@@ -324,38 +361,56 @@ def _stream_blocks(rng: np.random.Generator, m_bn: float, m_nd: float,
         d = (a * b).sum(axis=1)
         return j, rows, d * d, (b * b).sum(axis=1)
 
+    def tally(j, lo, w_nd):
+        return count(*reduce(j, lo, w_nd))
+
     def blocks(j, lo, w_nd):
         # whole rows of key j from row lo on, in blocks
+        nonlocal turn
         n = keys[j][0]
         step = max(1, _BLOCK_AMPLITUDES // n) * n
         for at in range(0, w_nd.size, step):
-            yield reduce(j, lo + at // n, w_nd[at:at + step])
+            args = j, lo + at // n, w_nd[at:at + step]
+            if count is None:
+                yield reduce(*args)
+                continue
+            turn = handing and not turn
+            yield pool.submit(tally, *args) if turn else tally(*args)
 
-    done, carry = [], []   # per key: |g_nd| rows reduced, the partial row after them
-    for j, (n, _, _) in enumerate(keys):
-        start = size * n
-        in_head = min(size, size * (n_max - n) // n)
-        yield from blocks(j, 0, head[start:start + in_head * n])
-        done.append(in_head)
-        carry.append(head[start + in_head * n:2 * start])
-    pos = size * n_max
+    # one run at equal shapes; else the head at m_bn, then the tail at m_nd
+    idle = None if count is None else hand_over
+    runs = ([(m_bn, 2 * head.size, head, idle)] if m_bn == m_nd else
+            [(m_bn, head.size, head, None), (m_nd, head.size, None, idle)])
     chunk = max(1, _BLOCK_AMPLITUDES // n_max) * n_max   # whole rows of the largest key
-    for w in _gamma_stream(rng, m_nd, size * n_max, None, pool, helpers, chunk):
-        for j, (n, _, _) in enumerate(keys):
-            taken = w[:max(0, 2 * size * n - pos)]
-            if carry[j].size:
-                fill = n - carry[j].size
-                row, taken = np.concatenate((carry[j], taken[:fill])), taken[fill:]
-                if row.size < n:
-                    carry[j] = row
-                    continue
-                yield reduce(j, done[j], row)
-                done[j] += 1
-            whole = taken.size // n * n
-            yield from blocks(j, done[j], taken[:whole])
-            done[j] += whole // n
-            carry[j] = taken[whole:]
-        pos += w.size
+    done, carry = [], []   # per key: |g_nd| rows reduced, the partial row after them
+    pos = 0
+    for shape, length, out, on_idle in runs:
+        for w in _gamma_stream(rng, shape, length, out, pool, helpers, chunk, on_idle):
+            pos += w.size
+            if pos < head.size:
+                continue
+            if pos == head.size:
+                for j, (n, _, _) in enumerate(keys):
+                    start = size * n
+                    in_head = min(size, size * (n_max - n) // n)
+                    yield from blocks(j, 0, head[start:start + in_head * n])
+                    done.append(in_head)
+                    carry.append(head[start + in_head * n:2 * start])
+                continue
+            for j, (n, _, _) in enumerate(keys):
+                taken = w[:max(0, 2 * size * n - (pos - w.size))]
+                if carry[j].size:
+                    fill = n - carry[j].size
+                    row, taken = np.concatenate((carry[j], taken[:fill])), taken[fill:]
+                    if row.size < n:
+                        carry[j] = row
+                        continue
+                    yield from blocks(j, done[j], row)
+                    done[j] += 1
+                whole = taken.size // n * n
+                yield from blocks(j, done[j], taken[:whole])
+                done[j] += whole // n
+                carry[j] = taken[whole:]
 
 
 def draw_realization(params: SystemParams, rng: np.random.Generator,
@@ -451,15 +506,22 @@ def _outage_counts(x, y, counted) -> list[int]:
 def _count_job(m_bn: float, m_nd: float, keys: dict, seed: int, index: int,
                size: int, pool=None, helpers: int = 0) -> list[tuple[int, int]]:
     # batch `index` of one stream group, drawn once for all its fading keys
-    # (with `helpers` draws ahead on pool); keys maps (n, omega_bn, omega_nd)
-    # to its request indices and their (budget, which) pairs.  Returns
-    # (request, outage count) pairs.
+    # (with `helpers` drawing ahead and, at the end, counting on pool); keys
+    # maps (n, omega_bn, omega_nd) to its request indices and their (budget,
+    # which) pairs.  Returns (request, outage count) pairs.
     requests = list(keys.values())
+
+    def count(j, rows, x, y):
+        return j, _outage_counts(x, y, requests[j][1])
+
+    # a block's counts, or their future; added up once every block is drawn
+    blocks = list(_stream_blocks(_batch_rng(seed, index), m_bn, m_nd, list(keys), size,
+                                 pool, helpers, count))
     counts = [[0] * len(ids) for ids, _ in requests]
-    for j, _, x, y in _stream_blocks(_batch_rng(seed, index), m_bn, m_nd,
-                                     list(keys), size, pool, helpers):
-        for c, got in enumerate(_outage_counts(x, y, requests[j][1])):
-            counts[j][c] += got
+    for block in blocks:
+        j, got = block.result() if isinstance(block, Future) else block
+        for c, k in enumerate(got):
+            counts[j][c] += k
     return [pair for (ids, _), got in zip(requests, counts) for pair in zip(ids, got)]
 
 

@@ -212,7 +212,8 @@ def _sinr_threshold(rate: float, bw: float) -> float:
 # Default geometry/fading values: the reference operating point used by all
 # bundled presets (an RIS 100 m from the transmitter, receiver 2 m from the
 # RIS, Nakagami shape 2 on both hops, 15 Mbit/s over 20 MHz).  Frozen and
-# checked when built; dataclasses.replace makes a variant and checks it too.
+# checked when built; dataclasses.replace makes a variant and checks it too,
+# and noiseless() copies a checked point with the surface noise off.
 @dataclass(frozen=True)
 class SystemParams:
     n: int = 10                  # RIS element count
@@ -241,6 +242,13 @@ class SystemParams:
         found = _problems(vars(self))
         if found:
             raise ValueError("invalid system parameters: " + "; ".join(found))
+
+    def noiseless(self) -> SystemParams:
+        """This point with ris_noise=False.  Not checked again: the rules are
+        per field, the other fields passed theirs, and False passes its own."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(vars(self), ris_noise=False)
+        return twin
 
 
 def hop_powers(params: SystemParams) -> tuple[float, float]:

@@ -5,10 +5,12 @@ import hashlib
 import itertools
 import math
 import os
+import threading
 import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -374,6 +376,68 @@ class TestSweepCsv:
             assert hashlib.sha256(out.read_bytes()).hexdigest() == (
                 "0519b1bbb444dac2a298fbc09df218d187e20d84f82cfad0f88701514011637c"), workers
 
+    @pytest.mark.parametrize("config, rows, digest", [
+        # equal shapes, n 14 to 24: every key's receiver hop starts in the
+        # head and ends past it, and one run's piece straddles the two
+        ("axis: element_count\nstart: 14\nstop: 24\npoints: 6\n"
+         "fixed: {d_nd: 5.0, pb_dbw: -60.0}\ntrials: 20000\nbatch: 20000\nseed: 23\n",
+         24, "c261eb370de8b41e7e73a9a0df0fdd361df79ae7b87432d9dfd370f1b550737c"),
+        # unequal shapes: the head and the tail are two runs
+        ("start: -70.0\nstop: -61.0\npoints: 4\n"
+         "fixed: {n: 10, d_nd: 5.0, m_bn: 1.5, m_nd: 2.5}\ntrials: 40000\n"
+         "batch: 40000\nseed: 19\n",
+         16, "bbc3150aef95e61cfb8573d540fb0151252704d95ed55457cf57b8945c4ae1f1"),
+    ])
+    def test_a_helped_one_batch_sweep_is_pinned_on_any_worker_count(
+            self, tmp_path, monkeypatch, config, rows, digest):
+        # a one-job plan on 3 CPUs: up to 2 helpers draw ahead and count
+        monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 3)
+        config = write_config(tmp_path, config + "modes: [mc_exact, mc_ub, "
+                                                 "noiseless_variant]\n")
+        for workers in (1, 2, 3):
+            out = tmp_path / f"helped{workers}.csv"
+            assert run_sweep(config, str(out), workers=workers) == rows
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, workers
+
+    @pytest.mark.parametrize("on_pool", [True, False])
+    def test_a_refusal_in_a_late_count_stops_the_sweep(self, tmp_path, monkeypatch,
+                                                       on_pool):
+        # a NaN power in a block counted after the helper's last draw: by the
+        # pool, or by the calling thread as the last block it counts, while
+        # the pool still holds counts of its own
+        monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 2)
+        config = write_config(tmp_path, "start: -70.0\nstop: -61.0\npoints: 2\n"
+                                        "fixed: {n: 10}\nmodes: [mc_exact]\n"
+                                        "trials: 40000\nbatch: 40000\nseed: 3\n")
+        real = mcsim._outage_counts
+        calls = {True: 0, False: 0}
+
+        def counted(x, y, requests):
+            calls[threading.current_thread() is not threading.main_thread()] += 1
+            return real(x, y, requests)
+
+        monkeypatch.setattr(mcsim, "_outage_counts", counted)
+        run_sweep(config, str(tmp_path / "dry.csv"), workers=2)
+        assert calls[True] > 0
+        late = calls[on_pool]
+        calls.update({True: 0, False: 0})
+
+        def nan_late(x, y, requests):
+            pooled = threading.current_thread() is not threading.main_thread()
+            calls[pooled] += 1
+            if pooled == on_pool and calls[pooled] == late:
+                x = np.where(np.arange(x.size) == x.size // 2, math.nan, x)
+            return real(x, y, requests)
+
+        monkeypatch.setattr(mcsim, "_outage_counts", nan_late)
+        before = set(threading.enumerate())
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=r"^powers must be nonnegative$"):
+            run_sweep(config, str(out), workers=2)
+        assert calls[on_pool] == late
+        assert set(threading.enumerate()) <= before
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_every_mode_sweep_is_pinned(self, tmp_path, workers):
         # a refactor that moves one byte of any mode's rows fails here
@@ -403,16 +467,23 @@ class TestSweepCsv:
 
     def test_each_point_builds_its_params_and_links_once(self, tmp_path,
                                                          monkeypatch):
-        # one SystemParams per grid value and noise setting, and all 6 links
-        # (3 values x noisy, noiseless) from one build_link_models call,
-        # whatever the 12 rows per value.  The three noisy links share one
-        # pb-free derivation, and so do the three noiseless ones.
-        built = {"params": 0, "calls": 0, "links": 0, "noise powers": 0, "hops": 0}
+        # one checked SystemParams per grid value and its unchecked noiseless
+        # twin, and all 6 links (3 values x noisy, noiseless) from one
+        # build_link_models call, whatever the 12 rows per value.  The three
+        # noisy links share one pb-free derivation, and so do the three
+        # noiseless ones.
+        built = {"params": 0, "twins": 0, "calls": 0, "links": 0, "noise powers": 0,
+                 "hops": 0}
         check = noise.SystemParams.__post_init__
+        twin = noise.SystemParams.noiseless
 
         def counted_check(params):
             built["params"] += 1
             check(params)
+
+        def counted_twin(params):
+            built["twins"] += 1
+            return twin(params)
 
         def counted_links(params_seq):
             built["calls"] += 1
@@ -427,20 +498,22 @@ class TestSweepCsv:
             return call
 
         monkeypatch.setattr(noise.SystemParams, "__post_init__", counted_check)
+        monkeypatch.setattr(noise.SystemParams, "noiseless", counted_twin)
         monkeypatch.setattr(cli, "build_link_models", counted_links)
         monkeypatch.setattr(outage, "_noise_powers",
                             counted("noise powers", outage._noise_powers))
         monkeypatch.setattr(outage, "hop_powers", counted("hops", outage.hop_powers))
         run_sweep(write_config(tmp_path, EVERY_MODE_SWEEP),
                   str(tmp_path / "every.csv"), workers=1)
-        assert built == {"params": 6, "calls": 1, "links": 6, "noise powers": 2,
-                         "hops": 2}
+        assert built == {"params": 3, "twins": 3, "calls": 1, "links": 6,
+                         "noise powers": 2, "hops": 2}
 
     def test_an_analytic_sweep_checks_each_value_once(self, tmp_path, monkeypatch):
         # 5 powers, noisy and noiseless: the rule table runs on the config
-        # (11), the 10 params, the Monte Carlo settings and the 2 derived
-        # cascade moments, and on nothing derived from them again (167 runs
-        # when each link re-checked its fields and each output its value)
+        # (11), the 5 noisy params (their noiseless twins are not checked
+        # again), the Monte Carlo settings and the 2 derived cascade
+        # moments, and on nothing derived from them again (167 runs when
+        # each link re-checked its fields and each output its value)
         runs = []
         problems = noise._problems
 
@@ -456,7 +529,7 @@ class TestSweepCsv:
             "start: -72.0\nstop: -50.0\npoints: 5\nfixed: {n: 10, d_nd: 2.0}\n"
             "modes: [analytic_lb, analytic_ub, asymptotic, noiseless_variant]\n"))
         assert run_sweep(config, str(tmp_path / "out.csv"), workers=1) == 30
-        assert len(runs) <= 24, runs
+        assert len(runs) <= 19, runs
         assert [p.ris_noise for p in hops] == [True, False]
 
     @pytest.mark.parametrize("target, fault, line", [

@@ -2,8 +2,11 @@ import ast
 import hashlib
 import itertools
 import math
+import random
 import re
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -282,6 +285,26 @@ class InOrder:
         return Finished((start, drawn, end))
 
 
+class Jittered(ThreadPoolExecutor):
+    """A real thread pool that starts each task a seeded random 0-2 ms late,
+    and records the name of each function submitted, in order."""
+
+    def __init__(self, max_workers=None, seed=0):
+        super().__init__(max_workers)
+        self.delays = random.Random(seed)
+        self.submitted = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        delay = self.delays.uniform(0.0, 0.002)
+        self.submitted.append(getattr(fn, "__name__", "?"))
+
+        def late():
+            time.sleep(delay)
+            return fn(*args, **kwargs)
+
+        return super().submit(late)
+
+
 def stitched_stream(shape, count, helpers, pool=None, out=None, seed=3, index=7):
     """The pieces _gamma_stream yields, joined, the generator it drew on,
     and its (stitched, fallbacks) counts."""
@@ -397,6 +420,94 @@ class TestGammaStream:
         fresh.standard_gamma(m_bn, size * n)
         fresh.standard_gamma(m_nd, size * n)
         assert_equal(rng.bit_generator.state, fresh.bit_generator.state)
+
+
+class TestRealThreads:
+    """Stitching and the helpers' counts under real threads, whose pieces
+    and counts finish in an order the synchronous fake never shows."""
+
+    COUNT = mcsim._PILOT + 3 * mcsim._PIECE + 17
+
+    @pytest.mark.parametrize("shape", [0.5, 2.0, 3.3])
+    @pytest.mark.parametrize("helpers", [1, 2])
+    def test_pieces_are_the_sequential_fill(self, shape, helpers):
+        for out in (None, np.full(self.COUNT // 2, np.nan)):
+            with Jittered(helpers, seed=helpers) as pool:
+                pieces, rng, (stitched, fallbacks) = stitched_stream(
+                    shape, self.COUNT, helpers, pool, out)
+            assert_sequential(pieces, rng, shape, self.COUNT)
+            assert stitched > 0 and fallbacks == 0
+            if out is not None:
+                # out holds the stream's head, and the pieces fill it in place
+                head = np.concatenate(pieces)[:out.size]
+                assert np.array_equal(out.view(np.uint64), head.view(np.uint64))
+                assert sum(p.size for p in pieces if np.shares_memory(p, out)) == out.size
+
+    @pytest.mark.parametrize("m_bn, m_nd", [(2.0, 2.0), (1.5, 2.5)])
+    def test_estimates_on_more_workers_are_the_one_worker_estimates(
+            self, monkeypatch, m_bn, m_nd):
+        # one batch and two: at equal shapes a one-job plan, whose helpers
+        # draw and, at the end, count, and on 3 workers a job with a helper
+        # beside one without; no count is handed to the pool before the last
+        # draw is
+        monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 3)
+        pools, plans = [], []
+        plan = mcsim._helper_plan
+
+        def jittered(max_workers):
+            pools.append(Jittered(max_workers, seed=len(pools)))
+            return pools[-1]
+
+        def recorded(workers, jobs):
+            plans.append(plan(workers, jobs))
+            return plans[-1]
+
+        requests = on_links([(SystemParams(n=n, m_bn=m_bn, m_nd=m_nd,
+                                           pb=10.0 ** (dbw / 10.0), ris_noise=noisy), which)
+                             for n in (8, 10) for dbw in (-67.0, -64.0)
+                             for noisy in (True, False) for which in ("exact", "ub")])
+        # runs of 0.96e6 to 2.4e6 variates: more helper pieces than one
+        # plan step submits, so later draws follow the first blocks
+        for cfg in (McConfig(trials=120_000, seed=13, batch=120_000),
+                    McConfig(trials=120_000, seed=13, batch=60_000)):
+            serial = estimate_outages(requests, cfg, workers=1)
+            with monkeypatch.context() as patched:
+                patched.setattr(mcsim, "ThreadPoolExecutor", jittered)
+                patched.setattr(mcsim, "_helper_plan", recorded)
+                for workers in (2, 3):
+                    pools.clear()
+                    plans.clear()
+                    assert estimate_outages(requests, cfg, workers=workers) == serial
+                    submitted = pools[0].submitted
+                    helped = any(plans[0])
+                    assert ("draw_ahead" in submitted) == helped, (cfg, workers)
+                    assert ("tally" in submitted) == helped, (cfg, workers)
+                    if "tally" in submitted:
+                        assert submitted.index("tally") > max(
+                            i for i, name in enumerate(submitted) if name == "draw_ahead")
+
+
+class TestHandOver:
+    """Once the plan has no helper piece left it calls idle() and submits no
+    more draws, so work handed to the pool then queues behind them all."""
+
+    @pytest.mark.parametrize("shape", [0.5, 2.0])
+    @pytest.mark.parametrize("helpers", [1, 2])
+    def test_no_draw_is_submitted_after_idle(self, shape, helpers):
+        # 18,000 to 19,000 variates past the pilot and one or two pieces: the
+        # last piece planned leaves the rest to the calling thread, and a
+        # plan made again once no piece was pending would submit one more
+        for count in (296_541, 559_749):
+            log, pool = [], InOrder()
+            submit = pool.submit
+            pool.submit = lambda *args: log.append("draw") or submit(*args)
+            rng = mcsim._batch_rng(3, 7)
+            pieces = list(mcsim._gamma_stream(rng, shape, count, None, pool, helpers,
+                                              mcsim._BLOCK_AMPLITUDES,
+                                              lambda: log.append("idle")))
+            assert_sequential(pieces, rng, shape, count)
+            assert log.count("idle") == 1, count
+            assert "draw" not in log[log.index("idle"):], count
 
 
 class TestHelperPlan:
@@ -790,7 +901,8 @@ class TestEstimateOutages:
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_a_one_job_plan_is_the_same_on_any_worker_count(self, monkeypatch, cpus):
         # one fading key in one batch: the workers past the first draw its
-        # stream ahead, and the estimates do not move
+        # stream ahead, in one run at equal shapes and in a run per shape
+        # otherwise, and the estimates do not move
         monkeypatch.setattr(mcsim, "_usable_cpus", lambda: cpus)
         counts = []
         original = mcsim._gamma_stream
@@ -799,17 +911,21 @@ class TestEstimateOutages:
             counts.append((yield from original(*args)))
 
         monkeypatch.setattr(mcsim, "_gamma_stream", recorded)
-        requests = on_links([(SystemParams(n=10, pb=10.0 ** (dbw / 10.0), ris_noise=noisy),
-                              which) for dbw in (-67.0, -64.0) for noisy in (True, False)
-                             for which in ("exact", "ub")])
-        cfg = McConfig(trials=40_000, seed=13, batch=40_000)
-        serial = estimate_outages(requests, cfg, workers=1)
-        assert counts == [(0, 0), (0, 0)]
-        for workers in (2, 3):
+        for m_bn, m_nd, runs in ((2.0, 2.0, 1), (1.5, 2.5, 2)):
+            requests = on_links([(SystemParams(n=10, m_bn=m_bn, m_nd=m_nd,
+                                               pb=10.0 ** (dbw / 10.0), ris_noise=noisy),
+                                  which) for dbw in (-67.0, -64.0)
+                                 for noisy in (True, False) for which in ("exact", "ub")])
+            cfg = McConfig(trials=40_000, seed=13, batch=40_000)
             counts.clear()
-            assert estimate_outages(requests, cfg, workers=workers) == serial
-            assert sum(stitched for stitched, _ in counts) > 0, workers
-            assert sum(fallbacks for _, fallbacks in counts) == 0, workers
+            serial = estimate_outages(requests, cfg, workers=1)
+            assert counts == [(0, 0)] * runs
+            for workers in (2, 3):
+                counts.clear()
+                assert estimate_outages(requests, cfg, workers=workers) == serial
+                assert len(counts) == runs
+                assert sum(stitched for stitched, _ in counts) > 0, workers
+                assert sum(fallbacks for _, fallbacks in counts) == 0, workers
 
     def test_each_fading_key_draws_its_own_batches(self):
         requests = [(SystemParams(n=n, pb=1e-7), "exact") for n in (4, 6)]

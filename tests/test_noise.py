@@ -312,6 +312,21 @@ class TestSystemParams:
                 "invalid system parameters: d_nd: must be positive, got -1.0")):
             dataclasses.replace(SystemParams(), d_nd=-1.0)
 
+    @pytest.mark.parametrize("fields", [{}, {"ris_noise": False, "n": 64},
+                                        {"sigma_r2": 1e-12, "sigma_d2": None}])
+    def test_noiseless_twin_is_the_replaced_point_unchecked(self, monkeypatch, fields):
+        params = SystemParams(**fields)
+        want = dataclasses.replace(params, ris_noise=False)
+        checks = []
+        monkeypatch.setattr(noise, "_problems", lambda values: checks.append(values) or [])
+        twin = params.noiseless()
+        assert checks == []
+        assert twin == want and type(twin) is SystemParams
+        assert vars(twin) == vars(want) and twin is not params
+        assert params.ris_noise == fields.get("ris_noise", True)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            twin.ris_noise = True
+
 
 def test_every_package_dataclass_is_frozen():
     # a value checked when it is built stays checked only if it cannot change
