@@ -18,12 +18,14 @@ holds these settings and, like SystemParams, is checked when it is built.
 
 One running batch holds about batch*n*8 bytes per job: the transmitter-hop
 amplitudes in full, while the receiver hop streams through blocks of about
-2**16 amplitudes.  A helper drawing ahead for the job holds two pieces of
-about 2**18 Gamma variates of its own, never the stream (a batch of
-100,000 at n = 64 peaks at 1.2x the one hop on 2 workers, against 1.05x
-on 1).  estimate_outages refuses a key whose batch would pass 1 GiB, and a
-plan of over 2**19 jobs.  Block and piece sizes, unlike the batch size,
-are not part of the seeding contract: they change no drawn bit.
+2**16 amplitudes.  Each thread that reduces and counts a block holds two
+scratch arrays of one block (1 MiB) for the job, reused block after block.
+A helper drawing ahead for the job holds two pieces of about 2**18 Gamma
+variates of its own, never the stream (a batch of 100,000 at n = 64 peaks
+at 1.2x the one hop on 2 workers, against 1.05x on 1).  estimate_outages
+refuses a key whose batch would pass 1 GiB, and a plan of over 2**19 jobs.
+Block and piece sizes, unlike the batch size, are not part of the seeding
+contract: they change no drawn bit.
 
 estimate_outages takes (link, selector) requests on outage.LinkModel links
 and groups them by fading key (what the draws depend on: n, the two shapes
@@ -46,7 +48,12 @@ up the integer counts at the end.  No more threads than RISNOISE_WORKERS
 run at once.  estimate_outage builds its link before any draw.
 
 Counting follows the draw block by block, so no X or Y array of batch
-length is held.  Per block it checks X, Y >= 0 once, forms lam*Y once per
+length is held.  The transmitter hop's amplitudes are formed once per job
+where its keys share omega_bn: the head is scaled and rooted in place once
+the receiver-hop rows it holds are reduced, and later blocks read their
+|g_bn| rows from it; a block forms only its |g_nd| amplitudes, and sums
+short rows column by column in numpy's own order (_row_sums), so X and Y
+keep every bit.  Per block it checks X, Y >= 0 once, forms lam*Y once per
 distinct lam (lam does not depend on the transmit power, so a power axis
 shares it), and per request forms only the selected SINR and counts the
 draws below the threshold; the block counts add up to the batch count.
@@ -58,6 +65,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -80,6 +88,12 @@ _NORMAL_CI_MIN_COUNT = 30
 # successive blocks continue one stream, every reduction is per row, and
 # block counts add up.
 _BLOCK_AMPLITUDES = 2 ** 16
+
+# rows shorter than this are summed column by column (_row_sums), longer ones
+# by numpy's own per-row loop.  Per block, on one core of a Xeon host with
+# numpy 2.4: 41 against 287 us at n = 4, 68 against 74 at n = 24, 73
+# against 67 at n = 27 and 112 against 34 at n = 64
+_COLUMN_SUMS_BELOW = 27
 
 # Gamma variates per piece of a stream that one thread draws; like the
 # block size, pieces change no drawn bit
@@ -291,7 +305,8 @@ def _gamma_stream(rng: np.random.Generator, shape: float, count: int, out=None,
         if idle is not None:
             idle()
 
-    recent = piece[-_MATCH:]
+    # a copy: the consumer may overwrite out once it holds the pieces
+    recent = piece[-_MATCH:].copy()
     parts = place(piece)
     while True:
         plan()
@@ -315,6 +330,34 @@ def _gamma_stream(rng: np.random.Generator, shape: float, count: int, out=None,
         parts = place(piece)
 
 
+def _row_sums(m):
+    """m.sum(axis=1) of a 2-d float64 array m, bit for bit, summed column by
+    column in the order of numpy's pairwise sum of each row: under 8 terms
+    in order from 0.0; up to 128, eight running sums over the whole blocks
+    of 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the terms
+    left over in order; past 128, the sums of two halves split at a
+    multiple of 8.  numpy adds the row's sum to 0.0, which only makes a
+    -0.0 sum +0.0 (a zero's sign changes no other sum)."""
+    n = m.shape[1]
+    if n < 8:
+        s = m[:, 0] + 0.0
+        for c in range(1, n):
+            s += m[:, c]
+        return s
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sums(m[:, :half]) + _row_sums(m[:, half:])
+    whole = n - n % 8
+    r = [m[:, c] for c in range(8)]
+    for at in range(8, whole, 8):
+        r = [part + m[:, at + c] for c, part in enumerate(r)]
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for c in range(whole, n):
+        s += m[:, c]
+    s += 0.0
+    return s
+
+
 def _stream_blocks(rng: np.random.Generator, m_bn: float, m_nd: float,
                    keys, size: int, pool=None, helpers: int = 0, count=None):
     """Yield (j, rows, x, y): X and Y over a block of rows of keys[j].
@@ -333,33 +376,46 @@ def _stream_blocks(rng: np.random.Generator, m_bn: float, m_nd: float,
     in blocks of about _BLOCK_AMPLITUDES, completing a row a piece left
     partial from the next.
 
+    Once the |g_nd| rows in the head are reduced, a job whose keys share
+    omega_bn roots the head in place, so that every later block reads its
+    |g_bn| amplitudes from it; otherwise each block forms its own.  Each
+    thread that reduces a block does so in two scratch arrays of one block
+    of its own, and sums rows under _COLUMN_SUMS_BELOW long with _row_sums.
+
     With count, a function of (j, rows, x, y), yield count's result for
     each block in place of the block.  Once the last run's plan has no
-    helper piece left to submit, every other block from then on is reduced
-    and counted on pool, and its future is yielded; so the helpers count
-    the last blocks while no draw is left for them.
+    helper piece left to submit and the head is past, every other block
+    from then on is reduced and counted on pool, and its future is
+    yielded; so the helpers count the last blocks while no draw is left
+    for them.
     """
     n_max = max(n for n, _, _ in keys)
     head = np.empty(size * n_max)
-    handing = turn = False
+    steps = [max(1, _BLOCK_AMPLITUDES // n) * n for n, _, _ in keys]   # whole rows per block
+    scratch = {}   # per thread: two arrays of the longest block
+    shared = len({om_bn for _, om_bn, _ in keys}) == 1
+    past_head = handing = turn = False
 
     def hand_over():
         # the last run's helpers have no piece left to draw
         nonlocal handing
         handing = True
 
-    def amplitudes(w, m, omega):
-        # omega/m * w, rooted: the bits of fading.sample_nakagami's draw
-        w = w * (omega / m)
-        return np.sqrt(w, out=w)
-
     def reduce(j, lo, w_nd):
+        # omega/m * w, rooted, gives the bits of fading.sample_nakagami's draw
         n, om_bn, om_nd = keys[j]
         rows = slice(lo, lo + w_nd.size // n)
-        a = amplitudes(head[rows.start * n:rows.stop * n], m_bn, om_bn).reshape(-1, n)
-        b = amplitudes(w_nd, m_nd, om_nd).reshape(-1, n)
-        d = (a * b).sum(axis=1)
-        return j, rows, d * d, (b * b).sum(axis=1)
+        thread = threading.get_ident()
+        if thread not in scratch:
+            scratch[thread] = np.empty(max(steps)), np.empty(max(steps))
+        a, b = (buffer[:w_nd.size].reshape(-1, n) for buffer in scratch[thread])
+        g_bn = head[rows.start * n:rows.stop * n].reshape(-1, n)
+        if not (past_head and shared):   # the head is not rooted
+            g_bn = np.sqrt(np.multiply(g_bn, om_bn / m_bn, out=a), out=a)
+        np.sqrt(np.multiply(w_nd.reshape(-1, n), om_nd / m_nd, out=b), out=b)
+        sums = _row_sums if n < _COLUMN_SUMS_BELOW else lambda m: m.sum(axis=1)
+        d = sums(np.multiply(g_bn, b, out=a))
+        return j, rows, d * d, sums(np.multiply(b, b, out=b))
 
     def tally(j, lo, w_nd):
         return count(*reduce(j, lo, w_nd))
@@ -367,14 +423,14 @@ def _stream_blocks(rng: np.random.Generator, m_bn: float, m_nd: float,
     def blocks(j, lo, w_nd):
         # whole rows of key j from row lo on, in blocks
         nonlocal turn
-        n = keys[j][0]
-        step = max(1, _BLOCK_AMPLITUDES // n) * n
+        n, step = keys[j][0], steps[j]
         for at in range(0, w_nd.size, step):
             args = j, lo + at // n, w_nd[at:at + step]
             if count is None:
                 yield reduce(*args)
                 continue
-            turn = handing and not turn
+            # no block reads the head on pool before it is rooted
+            turn = handing and past_head and not turn
             yield pool.submit(tally, *args) if turn else tally(*args)
 
     # one run at equal shapes; else the head at m_bn, then the tail at m_nd
@@ -395,7 +451,10 @@ def _stream_blocks(rng: np.random.Generator, m_bn: float, m_nd: float,
                     in_head = min(size, size * (n_max - n) // n)
                     yield from blocks(j, 0, head[start:start + in_head * n])
                     done.append(in_head)
-                    carry.append(head[start + in_head * n:2 * start])
+                    carry.append(head[start + in_head * n:2 * start].copy())
+                if shared:   # the transmitter hop's amplitudes, once per job
+                    np.sqrt(np.multiply(head, keys[0][1] / m_bn, out=head), out=head)
+                past_head = True
                 continue
             for j, (n, _, _) in enumerate(keys):
                 taken = w[:max(0, 2 * size * n - (pos - w.size))]

@@ -112,10 +112,10 @@ def unblocked_draw(params, rng, size):
 class TestBlockedDraw:
     SIZE = 2_000
 
-    @pytest.mark.parametrize("m_bn, m_nd",
-                             list(itertools.product((0.5, 0.7, 2.0), repeat=2)))
-    def test_block_size_changes_no_bit(self, monkeypatch, m_bn, m_nd):
-        params = SystemParams(n=10, m_bn=m_bn, m_nd=m_nd)
+    SHAPES = list(itertools.product((0.5, 0.7, 2.0), repeat=2))
+
+    def assert_blocks_change_no_bit(self, monkeypatch, n, m_bn, m_nd):
+        params = SystemParams(n=n, m_bn=m_bn, m_nd=m_nd)
         want = [v.view(np.uint64) for v in
                 unblocked_draw(params, mcsim._batch_rng(5, 3), self.SIZE)[:2]]
         # one row, a prime row count that does not divide the batch, and
@@ -125,6 +125,50 @@ class TestBlockedDraw:
             got = draw_realization(params, mcsim._batch_rng(5, 3), size=self.SIZE)
             for g, w in zip(got, want):
                 assert np.array_equal(g.view(np.uint64), w), rows
+
+    @pytest.mark.parametrize("m_bn, m_nd", SHAPES)
+    def test_block_size_changes_no_bit(self, monkeypatch, m_bn, m_nd):
+        self.assert_blocks_change_no_bit(monkeypatch, 10, m_bn, m_nd)
+
+    # the oracle sums rows with numpy; here n = 1, 3 and 5 take _row_sums'
+    # branch under 8 columns, 24 its running sums, and 40 numpy's own sum
+    @pytest.mark.parametrize("n", [1, 3, 5, 24, 40])
+    @pytest.mark.parametrize("m_bn, m_nd", SHAPES)
+    def test_block_size_changes_no_bit_at_any_row_length(self, monkeypatch, n, m_bn, m_nd):
+        self.assert_blocks_change_no_bit(monkeypatch, n, m_bn, m_nd)
+
+    def test_row_sums_are_numpys_bit_for_bit(self):
+        # numpy's pairwise order: under 8 columns, up to 128, and split
+        # halves past it; with exact zeros and subnormals among the terms
+        rng = rng_for(17)
+        for n in [*range(1, 301), 512, 1000]:
+            for rows in (1, 3, 7, mcsim._BLOCK_AMPLITUDES // n):
+                m = rng.standard_gamma(0.3, (rows, n))
+                m[rng.random(m.shape) < 0.05] = 0.0
+                tiny = rng.random(m.shape) < 0.05
+                m[tiny] = 1e-310 * rng.random(np.count_nonzero(tiny))
+                assert np.array_equal(mcsim._row_sums(m).view(np.uint64),
+                                      m.sum(axis=1).view(np.uint64)), (n, rows)
+        # an all -0.0 row sums to +0.0 on both routes
+        for n in (1, 5, 8, 200):
+            zeros = np.full((2, n), -0.0)
+            assert np.array_equal(mcsim._row_sums(zeros).view(np.uint64),
+                                  zeros.sum(axis=1).view(np.uint64)), n
+
+    def test_a_shared_transmitter_hop_is_rooted_once_for_every_key(self, monkeypatch):
+        # keys with one omega_bn read their |g_bn| rows from the rooted
+        # head; some read their |g_nd| rows from the head first
+        params = [SystemParams(n=n, d_nd=d_nd) for n, d_nd in
+                  ((3, 2.0), (6, 1.0), (8, 2.0), (12, 3.0), (12, 1.0))]
+        keys = [(p.n, *hop_powers(p)) for p in params]
+        assert len({om_bn for _, om_bn, _ in keys}) == 1
+        want = [unblocked_draw(p, mcsim._batch_rng(5, 3), self.SIZE)[:2] for p in params]
+        for rows in (1, 7, self.SIZE):
+            monkeypatch.setattr(mcsim, "_BLOCK_AMPLITUDES", rows * 12)
+            got = group_draws(keys, 2.0, 2.0, self.SIZE)
+            for (x, y), (wx, wy), p in zip(got, want, params):
+                assert np.array_equal(x.view(np.uint64), wx.view(np.uint64)), (rows, p.n)
+                assert np.array_equal(y.view(np.uint64), wy.view(np.uint64)), (rows, p.n)
 
     def test_stream_order_is_pinned(self):
         # the Philox (seed, batch index) contract: these bytes may change
@@ -390,6 +434,26 @@ class TestGammaStream:
             assert counts == ((0, 1) if extra else (pool.jobs, 0))
             assert pool.jobs == 1 or not extra
 
+    def test_the_match_survives_a_consumer_that_overwrites_out(self):
+        # out is exactly the pilot, and the consumer writes over each part
+        # of out it receives before the first helper piece is joined
+        count = self.PILOT + 3 * self.PIECE + 17
+        out = np.empty(self.PILOT)
+        rng = mcsim._batch_rng(3, 7)
+        stream = mcsim._gamma_stream(rng, 2.0, count, out, InOrder(), 1)
+        pieces = []
+        while True:
+            try:
+                piece = next(stream)
+            except StopIteration as stop:
+                stitched, fallbacks = stop.value
+                break
+            pieces.append(piece.copy())
+            if np.shares_memory(piece, out):
+                piece[...] = -1.0
+        assert_sequential(pieces, rng, 2.0, count)
+        assert stitched > 0 and fallbacks == 0
+
     def test_two_shapes_stream_as_two_runs(self):
         # a group's head at m_bn and its tail at m_nd, on one generator: no
         # piece holds both shapes
@@ -508,6 +572,46 @@ class TestHandOver:
             assert_sequential(pieces, rng, shape, count)
             assert log.count("idle") == 1, count
             assert "draw" not in log[log.index("idle"):], count
+
+    def test_no_count_is_handed_over_before_the_head_is_rooted(self, monkeypatch):
+        # one job at equal shapes and one omega_bn, whose plan closes while
+        # the head is still drawn (a stream of 300,000 variates): the keys
+        # at n = 4 and 16 reduce receiver-hop rows from the raw head, which
+        # is rooted after them
+        monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 3)
+        stream, log, pools = mcsim._gamma_stream, [], []
+
+        def watched(rng, shape, count, out, pool, helpers, block, idle):
+            def logged_idle():
+                log.append("idle")
+                idle()
+
+            seen = 0
+            for piece in stream(rng, shape, count, out, pool, helpers, block,
+                                idle and logged_idle):
+                yield piece
+                seen += piece.size
+                if seen == out.size:
+                    # resumed: the head-boundary rows are reduced and counted
+                    log.append("rooted")
+
+        def jittered(max_workers):
+            pools.append(Jittered(max_workers, seed=len(pools)))
+            pools[-1].submitted = log
+            return pools[-1]
+
+        requests = on_links([(SystemParams(n=n, d_nd=d_nd, pb=10.0 ** (dbw / 10.0)), which)
+                             for n, d_nd in ((4, 2.0), (16, 3.0), (24, 2.0))
+                             for dbw in (-66.0, -60.0) for which in ("exact", "ub")])
+        cfg = McConfig(trials=6_250, seed=11, batch=6_250)
+        serial = estimate_outages(requests, cfg, workers=1)
+        monkeypatch.setattr(mcsim, "_gamma_stream", watched)
+        monkeypatch.setattr(mcsim, "ThreadPoolExecutor", jittered)
+        for workers in (2, 3):
+            log.clear()
+            assert estimate_outages(requests, cfg, workers=workers) == serial, workers
+            assert log.index("idle") < log.index("rooted"), workers
+            assert "tally" in log and "tally" not in log[:log.index("rooted")], workers
 
 
 class TestHelperPlan:
