@@ -18,8 +18,8 @@ holds these settings and, like SystemParams, is checked when it is built.
 
 One running batch holds about batch*n*8 bytes per job: the transmitter-hop
 amplitudes in full, while the receiver hop streams through blocks of about
-2**16 amplitudes.  Each thread that reduces and counts a block holds two
-scratch arrays of one block (1 MiB) for the job, reused block after block.
+2**16 amplitudes.  The job reduces and counts every block in two scratch
+arrays of one block (1 MiB), reused block after block.
 A helper drawing ahead for the job holds two pieces of about 2**18 Gamma
 variates of its own, never the stream (a batch of 100,000 at n = 64 peaks
 at 1.2x the one hop on 2 workers, against 1.05x on 1).  estimate_outages
@@ -42,15 +42,15 @@ draw later pieces of the job's stream from guessed Philox positions; the
 job stitches them in bit for bit (_gamma_stream), so the drawn bits and
 the generator's final state are those of one sequential fill whatever the
 helper count.  At equal shapes one plan covers the job's whole stream, so
-the helpers draw on past the transmitter hop; once no piece is left for
-them, they reduce and count every other remaining block, and the job adds
-up the integer counts at the end.  No more threads than RISNOISE_WORKERS
-run at once.  estimate_outage builds its link before any draw.
+the helpers draw on past the transmitter hop.  Helpers only draw: every
+block is reduced and counted on its job's own thread.  No more threads
+than RISNOISE_WORKERS run at once.  estimate_outage builds its link before
+any draw.
 
 Counting follows the draw block by block, so no X or Y array of batch
 length is held.  The transmitter hop's amplitudes are formed once per job
-where its keys share omega_bn: the head is scaled and rooted in place once
-the receiver-hop rows it holds are reduced, and later blocks read their
+where its keys share omega_bn: the head is scaled and rooted in place, each
+key's |g_bn| rows before any block reads them, and every block reads its
 |g_bn| rows from it; a block forms only its |g_nd| amplitudes, and sums
 short rows column by column in numpy's own order (_row_sums), so X and Y
 keep every bit.  Per block it checks X, Y >= 0 once, forms lam*Y once per
@@ -65,9 +65,8 @@ from __future__ import annotations
 import math
 import operator
 import os
-import threading
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,8 +169,7 @@ def _same_state(a, b) -> bool:
 
 
 def _gamma_stream(rng: np.random.Generator, shape: float, count: int, out=None,
-                  pool=None, helpers: int = 0, block: int = _BLOCK_AMPLITUDES,
-                  idle=None):
+                  pool=None, helpers: int = 0, block: int = _BLOCK_AMPLITUDES):
     """Yield rng's next count Gamma(shape) variates in consecutive pieces.
 
     The pieces hold the bits of rng.standard_gamma(shape, count), and the
@@ -193,9 +191,9 @@ def _gamma_stream(rng: np.random.Generator, shape: float, count: int, out=None,
     that start inside out the calling thread draws one in every
     helpers + 1, and of those past it one in every 2*(helpers + 1), as its
     time then also goes to what is done with each piece.  Once the plan
-    has no helper piece left to submit it calls idle(), if given, and
-    plans no more, so work handed to pool after that call queues behind
-    every helper draw.
+    has no helper piece left to submit it plans no more, and the calling
+    thread draws the rest of the run past the pieces already submitted.
+    Helpers only draw; every piece is yielded on the calling thread.
 
     A helper piece is used from the first point where both chains reach
     the same full generator state: a value match of the exact chain's last
@@ -302,8 +300,6 @@ def _gamma_stream(rng: np.random.Generator, shape: float, count: int, out=None,
         else:
             return
         closed = True
-        if idle is not None:
-            idle()
 
     # a copy: the consumer may overwrite out once it holds the pieces
     recent = piece[-_MATCH:].copy()
@@ -359,7 +355,7 @@ def _row_sums(m):
 
 
 def _stream_blocks(rng: np.random.Generator, m_bn: float, m_nd: float,
-                   keys, size: int, pool=None, helpers: int = 0, count=None):
+                   keys, size: int, pool=None, helpers: int = 0):
     """Yield (j, rows, x, y): X and Y over a block of rows of keys[j].
 
     keys are (n, omega_bn, omega_nd) triples that read one stream: key j's
@@ -374,87 +370,63 @@ def _stream_blocks(rng: np.random.Generator, m_bn: float, m_nd: float,
     at equal shapes, the |g_nd| rows of each key with 2n <= n_max); the
     rest comes in pieces, which every key still reading takes in lockstep,
     in blocks of about _BLOCK_AMPLITUDES, completing a row a piece left
-    partial from the next.
+    partial from the next.  Every block is reduced on the calling thread,
+    in two scratch arrays of one block, and rows under _COLUMN_SUMS_BELOW
+    long are summed with _row_sums.
 
-    Once the |g_nd| rows in the head are reduced, a job whose keys share
-    omega_bn roots the head in place, so that every later block reads its
-    |g_bn| amplitudes from it; otherwise each block forms its own.  Each
-    thread that reduces a block does so in two scratch arrays of one block
-    of its own, and sums rows under _COLUMN_SUMS_BELOW long with _row_sums.
-
-    With count, a function of (j, rows, x, y), yield count's result for
-    each block in place of the block.  Once the last run's plan has no
-    helper piece left to submit and the head is past, every other block
-    from then on is reduced and counted on pool, and its future is
-    yielded; so the helpers count the last blocks while no draw is left
-    for them.
+    A job whose keys share omega_bn roots the head in place, so that every
+    block reads its |g_bn| amplitudes from it; otherwise each block forms
+    its own.  Once the head is drawn the keys take their |g_nd| rows in it
+    in increasing n, and each key first roots the head up to size*n: its
+    own |g_bn| rows, and the |g_nd| rows of the smaller keys, which are
+    reduced by then.  The last key, at n_max, roots the rest.
     """
     n_max = max(n for n, _, _ in keys)
     head = np.empty(size * n_max)
     steps = [max(1, _BLOCK_AMPLITUDES // n) * n for n, _, _ in keys]   # whole rows per block
-    scratch = {}   # per thread: two arrays of the longest block
+    scratch = np.empty(max(steps)), np.empty(max(steps))
     shared = len({om_bn for _, om_bn, _ in keys}) == 1
-    past_head = handing = turn = False
-
-    def hand_over():
-        # the last run's helpers have no piece left to draw
-        nonlocal handing
-        handing = True
-
-    def reduce(j, lo, w_nd):
-        # omega/m * w, rooted, gives the bits of fading.sample_nakagami's draw
-        n, om_bn, om_nd = keys[j]
-        rows = slice(lo, lo + w_nd.size // n)
-        thread = threading.get_ident()
-        if thread not in scratch:
-            scratch[thread] = np.empty(max(steps)), np.empty(max(steps))
-        a, b = (buffer[:w_nd.size].reshape(-1, n) for buffer in scratch[thread])
-        g_bn = head[rows.start * n:rows.stop * n].reshape(-1, n)
-        if not (past_head and shared):   # the head is not rooted
-            g_bn = np.sqrt(np.multiply(g_bn, om_bn / m_bn, out=a), out=a)
-        np.sqrt(np.multiply(w_nd.reshape(-1, n), om_nd / m_nd, out=b), out=b)
-        sums = _row_sums if n < _COLUMN_SUMS_BELOW else lambda m: m.sum(axis=1)
-        d = sums(np.multiply(g_bn, b, out=a))
-        return j, rows, d * d, sums(np.multiply(b, b, out=b))
-
-    def tally(j, lo, w_nd):
-        return count(*reduce(j, lo, w_nd))
 
     def blocks(j, lo, w_nd):
-        # whole rows of key j from row lo on, in blocks
-        nonlocal turn
-        n, step = keys[j][0], steps[j]
-        for at in range(0, w_nd.size, step):
-            args = j, lo + at // n, w_nd[at:at + step]
-            if count is None:
-                yield reduce(*args)
-                continue
-            # no block reads the head on pool before it is rooted
-            turn = handing and past_head and not turn
-            yield pool.submit(tally, *args) if turn else tally(*args)
+        # whole rows of key j from row lo on, in blocks; omega/m * w, rooted,
+        # gives the bits of fading.sample_nakagami's draw
+        n, om_bn, om_nd = keys[j]
+        sums = _row_sums if n < _COLUMN_SUMS_BELOW else lambda m: m.sum(axis=1)
+        for at in range(0, w_nd.size, steps[j]):
+            w = w_nd[at:at + steps[j]]
+            rows = slice(lo + at // n, lo + (at + w.size) // n)
+            a, b = (buffer[:w.size].reshape(-1, n) for buffer in scratch)
+            g_bn = head[rows.start * n:rows.stop * n].reshape(-1, n)
+            if not shared:   # else the head is rooted
+                g_bn = np.sqrt(np.multiply(g_bn, om_bn / m_bn, out=a), out=a)
+            np.sqrt(np.multiply(w.reshape(-1, n), om_nd / m_nd, out=b), out=b)
+            d = sums(np.multiply(g_bn, b, out=a))
+            yield j, rows, d * d, sums(np.multiply(b, b, out=b))
 
     # one run at equal shapes; else the head at m_bn, then the tail at m_nd
-    idle = None if count is None else hand_over
-    runs = ([(m_bn, 2 * head.size, head, idle)] if m_bn == m_nd else
-            [(m_bn, head.size, head, None), (m_nd, head.size, None, idle)])
+    runs = ([(m_bn, 2 * head.size, head)] if m_bn == m_nd else
+            [(m_bn, head.size, head), (m_nd, head.size, None)])
     chunk = max(1, _BLOCK_AMPLITUDES // n_max) * n_max   # whole rows of the largest key
-    done, carry = [], []   # per key: |g_nd| rows reduced, the partial row after them
-    pos = 0
-    for shape, length, out, on_idle in runs:
-        for w in _gamma_stream(rng, shape, length, out, pool, helpers, chunk, on_idle):
+    # per key: |g_nd| rows reduced, and the partial row after them
+    done, carry = [0] * len(keys), [None] * len(keys)
+    pos = rooted = 0
+    for shape, length, out in runs:
+        for w in _gamma_stream(rng, shape, length, out, pool, helpers, chunk):
             pos += w.size
             if pos < head.size:
                 continue
             if pos == head.size:
-                for j, (n, _, _) in enumerate(keys):
+                for j in sorted(range(len(keys)), key=lambda j: keys[j][0]):
+                    n = keys[j][0]
                     start = size * n
+                    if shared:   # the transmitter hop's amplitudes, once per job
+                        part = head[rooted:start]
+                        np.sqrt(np.multiply(part, keys[0][1] / m_bn, out=part), out=part)
+                        rooted = start
                     in_head = min(size, size * (n_max - n) // n)
                     yield from blocks(j, 0, head[start:start + in_head * n])
-                    done.append(in_head)
-                    carry.append(head[start + in_head * n:2 * start].copy())
-                if shared:   # the transmitter hop's amplitudes, once per job
-                    np.sqrt(np.multiply(head, keys[0][1] / m_bn, out=head), out=head)
-                past_head = True
+                    done[j] = in_head
+                    carry[j] = head[start + in_head * n:2 * start].copy()
                 continue
             for j, (n, _, _) in enumerate(keys):
                 taken = w[:max(0, 2 * size * n - (pos - w.size))]
@@ -565,21 +537,14 @@ def _outage_counts(x, y, counted) -> list[int]:
 def _count_job(m_bn: float, m_nd: float, keys: dict, seed: int, index: int,
                size: int, pool=None, helpers: int = 0) -> list[tuple[int, int]]:
     # batch `index` of one stream group, drawn once for all its fading keys
-    # (with `helpers` drawing ahead and, at the end, counting on pool); keys
-    # maps (n, omega_bn, omega_nd) to its request indices and their (budget,
-    # which) pairs.  Returns (request, outage count) pairs.
+    # (with `helpers` drawing ahead on pool); keys maps (n, omega_bn,
+    # omega_nd) to its request indices and their (budget, which) pairs.
+    # Returns (request, outage count) pairs.
     requests = list(keys.values())
-
-    def count(j, rows, x, y):
-        return j, _outage_counts(x, y, requests[j][1])
-
-    # a block's counts, or their future; added up once every block is drawn
-    blocks = list(_stream_blocks(_batch_rng(seed, index), m_bn, m_nd, list(keys), size,
-                                 pool, helpers, count))
     counts = [[0] * len(ids) for ids, _ in requests]
-    for block in blocks:
-        j, got = block.result() if isinstance(block, Future) else block
-        for c, k in enumerate(got):
+    for j, _, x, y in _stream_blocks(_batch_rng(seed, index), m_bn, m_nd, list(keys),
+                                     size, pool, helpers):
+        for c, k in enumerate(_outage_counts(x, y, requests[j][1])):
             counts[j][c] += k
     return [pair for (ids, _), got in zip(requests, counts) for pair in zip(ids, got)]
 

@@ -178,7 +178,8 @@ def _xi2_values(pairs: list[tuple[LinkModel, float]]) -> list[float]:
     It calls specfun.reg_lower_gamma, the same ufunc and checks as xi2, not
     this module's global: the benchmark tracer patches that global, and a
     call from outside an outage_report span would count its time twice.
-    ROADMAP direction 2 folds this into xi2.
+    Once the benchmark stops patching module globals by name, xi2 can be
+    the one-pair case of this function.
     """
     return specfun.reg_lower_gamma(
         np.array([link.approx.delta for link, _ in pairs]),

@@ -399,33 +399,29 @@ class TestSweepCsv:
             assert run_sweep(config, str(out), workers=workers) == rows
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, workers
 
-    @pytest.mark.parametrize("on_pool", [True, False])
-    def test_a_refusal_in_a_late_count_stops_the_sweep(self, tmp_path, monkeypatch,
-                                                       on_pool):
-        # a NaN power in a block counted after the helper's last draw: by the
-        # pool, or by the calling thread as the last block it counts, while
-        # the pool still holds counts of its own
+    def test_a_refusal_in_a_late_count_stops_the_sweep(self, tmp_path, monkeypatch):
+        # a NaN power in the last block counted, on the job's own thread,
+        # after the helper's last draw
         monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 2)
         config = write_config(tmp_path, "start: -70.0\nstop: -61.0\npoints: 2\n"
                                         "fixed: {n: 10}\nmodes: [mc_exact]\n"
                                         "trials: 40000\nbatch: 40000\nseed: 3\n")
         real = mcsim._outage_counts
-        calls = {True: 0, False: 0}
+        calls = []
 
         def counted(x, y, requests):
-            calls[threading.current_thread() is not threading.main_thread()] += 1
+            calls.append(threading.current_thread())
             return real(x, y, requests)
 
         monkeypatch.setattr(mcsim, "_outage_counts", counted)
         run_sweep(config, str(tmp_path / "dry.csv"), workers=2)
-        assert calls[True] > 0
-        late = calls[on_pool]
-        calls.update({True: 0, False: 0})
+        assert set(calls) == {threading.main_thread()}
+        late = len(calls)
+        calls.clear()
 
         def nan_late(x, y, requests):
-            pooled = threading.current_thread() is not threading.main_thread()
-            calls[pooled] += 1
-            if pooled == on_pool and calls[pooled] == late:
+            calls.append(threading.current_thread())
+            if len(calls) == late:
                 x = np.where(np.arange(x.size) == x.size // 2, math.nan, x)
             return real(x, y, requests)
 
@@ -434,7 +430,7 @@ class TestSweepCsv:
         out = tmp_path / "out.csv"
         with pytest.raises(ValueError, match=r"^powers must be nonnegative$"):
             run_sweep(config, str(out), workers=2)
-        assert calls[on_pool] == late
+        assert len(calls) == late
         assert set(threading.enumerate()) <= before
         assert not out.exists()
 

@@ -1,6 +1,7 @@
 """What a sweep imports, the module entry point, the package names the
 benchmark under perfbench/ looks up, the one body per check that validate
-and the release gates share, and the one route to a link."""
+and the release gates share, the one route to a link, and the one place
+the Monte Carlo drawer hands work to a pool."""
 import ast
 import importlib
 import itertools
@@ -356,3 +357,15 @@ class TestOneLinkRoute:
         builders = [name for name, func in _package_functions().items()
                     if "LinkModel" in _calls(func)]
         assert builders == ["build_link_models"]
+
+
+class TestHelpersOnlyDraw:
+    """A Monte Carlo job's helpers only draw its Gamma stream ahead; every
+    block is reduced and counted on the job's own thread."""
+
+    def test_only_the_gamma_stream_submits_work_to_a_pool(self):
+        tree = ast.parse((PACKAGE / "mcsim.py").read_text(encoding="utf-8"))
+        submitters = [getattr(top, "name", "<module>") for top in tree.body
+                      for node in ast.walk(top) if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute) and node.func.attr == "submit"]
+        assert submitters == ["_gamma_stream"]

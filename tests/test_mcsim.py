@@ -157,7 +157,8 @@ class TestBlockedDraw:
 
     def test_a_shared_transmitter_hop_is_rooted_once_for_every_key(self, monkeypatch):
         # keys with one omega_bn read their |g_bn| rows from the rooted
-        # head; some read their |g_nd| rows from the head first
+        # head; some read their |g_nd| rows from the head, once it is
+        # rooted up to their own |g_bn| rows
         params = [SystemParams(n=n, d_nd=d_nd) for n, d_nd in
                   ((3, 2.0), (6, 1.0), (8, 2.0), (12, 3.0), (12, 1.0))]
         keys = [(p.n, *hop_powers(p)) for p in params]
@@ -487,8 +488,8 @@ class TestGammaStream:
 
 
 class TestRealThreads:
-    """Stitching and the helpers' counts under real threads, whose pieces
-    and counts finish in an order the synchronous fake never shows."""
+    """Stitching and the estimates under real threads, whose helper pieces
+    finish in an order the synchronous fake never shows."""
 
     COUNT = mcsim._PILOT + 3 * mcsim._PIECE + 17
 
@@ -511,9 +512,9 @@ class TestRealThreads:
     def test_estimates_on_more_workers_are_the_one_worker_estimates(
             self, monkeypatch, m_bn, m_nd):
         # one batch and two: at equal shapes a one-job plan, whose helpers
-        # draw and, at the end, count, and on 3 workers a job with a helper
-        # beside one without; no count is handed to the pool before the last
-        # draw is
+        # draw ahead, and on 3 workers a job with a helper beside one
+        # without; the pool runs the jobs of a many-job plan and the
+        # helpers' draws, nothing else
         monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 3)
         pools, plans = [], []
         plan = mcsim._helper_plan
@@ -543,61 +544,21 @@ class TestRealThreads:
                     plans.clear()
                     assert estimate_outages(requests, cfg, workers=workers) == serial
                     submitted = pools[0].submitted
-                    helped = any(plans[0])
-                    assert ("draw_ahead" in submitted) == helped, (cfg, workers)
-                    assert ("tally" in submitted) == helped, (cfg, workers)
-                    if "tally" in submitted:
-                        assert submitted.index("tally") > max(
-                            i for i, name in enumerate(submitted) if name == "draw_ahead")
+                    draws = submitted.count("draw_ahead")
+                    assert (draws > 0) == any(plans[0]), (cfg, workers)
+                    jobs = len(plans[0])
+                    assert len(submitted) - draws == (jobs if jobs > 1 else 0), (cfg, workers)
 
-
-class TestHandOver:
-    """Once the plan has no helper piece left it calls idle() and submits no
-    more draws, so work handed to the pool then queues behind them all."""
-
-    @pytest.mark.parametrize("shape", [0.5, 2.0])
-    @pytest.mark.parametrize("helpers", [1, 2])
-    def test_no_draw_is_submitted_after_idle(self, shape, helpers):
-        # 18,000 to 19,000 variates past the pilot and one or two pieces: the
-        # last piece planned leaves the rest to the calling thread, and a
-        # plan made again once no piece was pending would submit one more
-        for count in (296_541, 559_749):
-            log, pool = [], InOrder()
-            submit = pool.submit
-            pool.submit = lambda *args: log.append("draw") or submit(*args)
-            rng = mcsim._batch_rng(3, 7)
-            pieces = list(mcsim._gamma_stream(rng, shape, count, None, pool, helpers,
-                                              mcsim._BLOCK_AMPLITUDES,
-                                              lambda: log.append("idle")))
-            assert_sequential(pieces, rng, shape, count)
-            assert log.count("idle") == 1, count
-            assert "draw" not in log[log.index("idle"):], count
-
-    def test_no_count_is_handed_over_before_the_head_is_rooted(self, monkeypatch):
-        # one job at equal shapes and one omega_bn, whose plan closes while
-        # the head is still drawn (a stream of 300,000 variates): the keys
-        # at n = 4 and 16 reduce receiver-hop rows from the raw head, which
-        # is rooted after them
+    def test_a_shared_head_job_counts_on_more_workers_as_on_one(self, monkeypatch):
+        # one job at equal shapes and one omega_bn, whose helpers draw ahead
+        # while the calling thread draws the head: the keys at n = 4 and 16
+        # reduce receiver-hop rows from the head, which is rooted up to each
+        # key's |g_bn| rows first
         monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 3)
-        stream, log, pools = mcsim._gamma_stream, [], []
-
-        def watched(rng, shape, count, out, pool, helpers, block, idle):
-            def logged_idle():
-                log.append("idle")
-                idle()
-
-            seen = 0
-            for piece in stream(rng, shape, count, out, pool, helpers, block,
-                                idle and logged_idle):
-                yield piece
-                seen += piece.size
-                if seen == out.size:
-                    # resumed: the head-boundary rows are reduced and counted
-                    log.append("rooted")
+        pools = []
 
         def jittered(max_workers):
             pools.append(Jittered(max_workers, seed=len(pools)))
-            pools[-1].submitted = log
             return pools[-1]
 
         requests = on_links([(SystemParams(n=n, d_nd=d_nd, pb=10.0 ** (dbw / 10.0)), which)
@@ -605,13 +566,30 @@ class TestHandOver:
                              for dbw in (-66.0, -60.0) for which in ("exact", "ub")])
         cfg = McConfig(trials=6_250, seed=11, batch=6_250)
         serial = estimate_outages(requests, cfg, workers=1)
-        monkeypatch.setattr(mcsim, "_gamma_stream", watched)
         monkeypatch.setattr(mcsim, "ThreadPoolExecutor", jittered)
         for workers in (2, 3):
-            log.clear()
+            pools.clear()
             assert estimate_outages(requests, cfg, workers=workers) == serial, workers
-            assert log.index("idle") < log.index("rooted"), workers
-            assert "tally" in log and "tally" not in log[:log.index("rooted")], workers
+            assert "draw_ahead" in pools[0].submitted, workers
+
+
+class TestHandOver:
+    """Once the plan has no helper piece left it hands the rest of the run
+    over to the calling thread: the helpers go idle, and no later plan
+    submits another draw."""
+
+    @pytest.mark.parametrize("shape", [0.5, 2.0])
+    @pytest.mark.parametrize("helpers", [1, 2])
+    def test_no_draw_is_submitted_after_idle(self, shape, helpers):
+        # 18,000 to 19,000 variates past the pilot and one or two pieces: the
+        # last piece planned leaves the rest to the calling thread, and a
+        # plan made again once no piece was pending would submit one more
+        for count, draws in ((296_541, 0), (559_749, 1)):
+            pool = InOrder()
+            rng = mcsim._batch_rng(3, 7)
+            pieces = list(mcsim._gamma_stream(rng, shape, count, None, pool, helpers))
+            assert_sequential(pieces, rng, shape, count)
+            assert pool.jobs == draws, count
 
 
 class TestHelperPlan:
@@ -1030,6 +1008,22 @@ class TestEstimateOutages:
                 assert len(counts) == runs
                 assert sum(stitched for stitched, _ in counts) > 0, workers
                 assert sum(fallbacks for _, fallbacks in counts) == 0, workers
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_keys_listed_in_decreasing_n_count_as_in_increasing_n(self, monkeypatch,
+                                                                  workers):
+        # one job at equal shapes and one omega_bn: the keys at n = 3 and 6
+        # read receiver-hop rows from the head (2n <= n_max = 12), so the
+        # head must be rooted key by key in increasing n whatever the order
+        # the requests come in
+        monkeypatch.setattr(mcsim, "_usable_cpus", lambda: 2)
+        requests = on_links([(SystemParams(n=n, d_nd=d_nd, pb=10.0 ** (dbw / 10.0)), which)
+                             for n, d_nd in ((3, 1.0), (6, 2.0), (9, 1.5), (12, 3.0))
+                             for dbw in (-68.0, -64.0) for which in ("exact", "ub")])
+        cfg = McConfig(trials=6_000, seed=17, batch=6_000)
+        rising = estimate_outages(requests, cfg, workers=workers)
+        assert all(0.0 < est.p_hat < 1.0 for est in rising)
+        assert estimate_outages(requests[::-1], cfg, workers=workers)[::-1] == rising
 
     def test_each_fading_key_draws_its_own_batches(self):
         requests = [(SystemParams(n=n, pb=1e-7), "exact") for n in (4, 6)]
