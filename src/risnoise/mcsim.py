@@ -32,7 +32,8 @@ and groups them by fading key (what the draws depend on: n, the two shapes
 and the two hop powers).  Every key reads batch `index` from the same
 stream, and key n's draw is its first 2*batch*n Gamma variates, scaled per
 hop; so keys with equal shapes read one stream whatever their n, and keys
-with unequal shapes one stream per n.  Each (stream group, batch index)
+with unequal shapes one stream per n.  A stream group is the keys that read
+one stream at one transmitter-hop power.  Each (stream group, batch index)
 job draws that stream once, as far as its largest key needs, and counts
 every request of every key against its link's noise budget.  These jobs
 are the only parallel work in the package, run by RISNOISE_WORKERS threads
@@ -48,17 +49,16 @@ than RISNOISE_WORKERS run at once.  estimate_outage builds its link before
 any draw.
 
 Counting follows the draw block by block, so no X or Y array of batch
-length is held.  The transmitter hop's amplitudes are formed once per job
-where its keys share omega_bn: the head is scaled and rooted in place, each
-key's |g_bn| rows before any block reads them, and every block reads its
-|g_bn| rows from it; a block forms only its |g_nd| amplitudes, and sums
-short rows column by column in numpy's own order (_row_sums), so X and Y
-keep every bit.  Per block it checks X, Y >= 0 once, forms lam*Y once per
-distinct lam (lam does not depend on the transmit power, so a power axis
-shares it), and per request forms only the selected SINR and counts the
-draws below the threshold; the block counts add up to the batch count.
-sinr_exact and sinr_bounds are the same check and the same SINR helper
-over whole arrays.
+length is held.  The transmitter hop's amplitudes are formed once per job:
+the head is scaled and rooted in place, each key's |g_bn| rows before any
+block reads them, and every block reads its |g_bn| rows from it; a block
+forms only its |g_nd| amplitudes, and sums short rows column by column in
+numpy's own order (_row_sums), so X and Y keep every bit.  Per block it
+checks X, Y >= 0 once, forms lam*Y once per distinct lam (lam does not
+depend on the transmit power, so a power axis shares it), and per request
+forms only the selected SINR and counts the draws below the threshold; the
+block counts add up to the batch count.  sinr_exact and sinr_bounds are the
+same check and the same SINR helper over whole arrays.
 """
 from __future__ import annotations
 
@@ -174,12 +174,13 @@ def _gamma_stream(rng: np.random.Generator, shape: float, count: int, out=None,
 
     The pieces hold the bits of rng.standard_gamma(shape, count), and the
     generator is left where that call leaves it.  The first out.size
-    variates (none when out is None) fill out and come as slices of it,
-    the rest as fresh arrays; no piece straddles the end of out, and no
-    buffer is reused, so a piece stays valid after the next is drawn.
-    Without helpers, out is filled in one piece, and fresh pieces are
-    `block` variates long.  Returns (stitched, fallbacks): the helper
-    pieces used and those the calling thread drew again.
+    variates (none when out is None; out.size <= count) fill out, which
+    comes once, whole, as the first piece, when it is full; the rest come
+    as fresh arrays, and no buffer is reused, so a piece stays valid after
+    the next is drawn.  Without helpers, out is drawn in place in one
+    call, and fresh pieces are `block` variates long.  Returns (stitched,
+    fallbacks): the helper pieces used and those the calling thread drew
+    again.
 
     With helpers > 0 (rng must be a Philox generator; pool runs the
     helpers' draws) and more than _PILOT variates to draw, the calling
@@ -213,15 +214,16 @@ def _gamma_stream(rng: np.random.Generator, shape: float, count: int, out=None,
         return piece
 
     def place(piece):
-        # piece continues the stream from done: the parts it yields, its
-        # head copied into out unless it was drawn there
+        # piece continues the stream from done: the parts it yields, out
+        # once this piece fills it (its head copied there unless drawn
+        # there), then what lies past out
         nonlocal done
         cut = min(piece.size, max(0, filled - done))
-        head = out[done:done + cut] if cut else piece[:0]
-        if cut and not np.may_share_memory(head, piece):
-            head[...] = piece[:cut]
+        if cut and not np.may_share_memory(out[done:done + cut], piece):
+            out[done:done + cut] = piece[:cut]
         done += piece.size
-        return [part for part in (head, piece[cut:]) if part.size]
+        full = [out] if cut and done >= filled else []
+        return full + ([piece[cut:]] if cut < piece.size else [])
 
     if not helpers or count <= _PILOT:
         while done < count:
@@ -301,7 +303,7 @@ def _gamma_stream(rng: np.random.Generator, shape: float, count: int, out=None,
             return
         closed = True
 
-    # a copy: the consumer may overwrite out once it holds the pieces
+    # a copy: the consumer may overwrite out once it holds it
     recent = piece[-_MATCH:].copy()
     parts = place(piece)
     while True:
@@ -354,94 +356,82 @@ def _row_sums(m):
     return s
 
 
-def _stream_blocks(rng: np.random.Generator, m_bn: float, m_nd: float,
+def _stream_blocks(rng: np.random.Generator, m_bn: float, m_nd: float, omega_bn: float,
                    keys, size: int, pool=None, helpers: int = 0):
     """Yield (j, rows, x, y): X and Y over a block of rows of keys[j].
 
-    keys are (n, omega_bn, omega_nd) triples that read one stream: key j's
-    |g_bn| rows are Gamma(m_bn) variates 0 to size*n - 1, scaled by
-    omega_bn/m_bn and rooted, and its |g_nd| rows the Gamma(m_nd) variates
-    size*n to 2*size*n - 1.  So the keys must share their shapes, and their
-    n too unless m_bn == m_nd.  The stream is drawn once, to 2*size*n_max,
-    through _gamma_stream (pool and helpers go to it): at equal shapes in
-    one run, whose one plan lets the helpers draw past the head while the
-    calling thread finishes it, else in a run per shape.  The head of
-    size*n_max variates is filled in place and holds every |g_bn| row (and,
-    at equal shapes, the |g_nd| rows of each key with 2n <= n_max); the
-    rest comes in pieces, which every key still reading takes in lockstep,
-    in blocks of about _BLOCK_AMPLITUDES, completing a row a piece left
-    partial from the next.  Every block is reduced on the calling thread,
-    in two scratch arrays of one block, and rows under _COLUMN_SUMS_BELOW
-    long are summed with _row_sums.
-
-    A job whose keys share omega_bn roots the head in place, so that every
-    block reads its |g_bn| amplitudes from it; otherwise each block forms
-    its own.  Once the head is drawn the keys take their |g_nd| rows in it
-    in increasing n, and each key first roots the head up to size*n: its
-    own |g_bn| rows, and the |g_nd| rows of the smaller keys, which are
-    reduced by then.  The last key, at n_max, roots the rest.
+    keys are (n, omega_nd) pairs that read one stream at the transmitter-hop
+    power omega_bn: key j's |g_bn| rows are Gamma(m_bn) variates 0 to
+    size*n - 1, scaled by omega_bn/m_bn and rooted, and its |g_nd| rows the
+    Gamma(m_nd) variates size*n to 2*size*n - 1.  So the keys must share
+    their shapes, and their n too unless m_bn == m_nd.  The stream is drawn
+    once, to 2*size*n_max, through _gamma_stream (pool and helpers go to
+    it): at equal shapes in one run, whose one plan lets the helpers draw
+    past the head while the calling thread finishes it, else in a run per
+    shape.  Its first piece is the head of size*n_max variates, filled in
+    place: every |g_bn| row, and at equal shapes the |g_nd| rows of each key
+    with 2n <= n_max.  Every key in increasing n takes its |g_nd| variates
+    in each piece through one step: it completes the row its last piece
+    left partial, reduces its whole rows in blocks of about
+    _BLOCK_AMPLITUDES on the calling thread (in two scratch arrays of one
+    block; rows under _COLUMN_SUMS_BELOW long summed with _row_sums), and
+    copies what is left as the next partial row.  In the head's step each
+    key first roots the head in place up to size*n: its own |g_bn| rows, and
+    the |g_nd| rows of the smaller keys, reduced by then.  So every block
+    reads its |g_bn| amplitudes from the head.
     """
-    n_max = max(n for n, _, _ in keys)
+    n_max = max(n for n, _ in keys)
     head = np.empty(size * n_max)
-    steps = [max(1, _BLOCK_AMPLITUDES // n) * n for n, _, _ in keys]   # whole rows per block
+    steps = [max(1, _BLOCK_AMPLITUDES // n) * n for n, _ in keys]   # whole rows per block
     scratch = np.empty(max(steps)), np.empty(max(steps))
-    shared = len({om_bn for _, om_bn, _ in keys}) == 1
+    # per key: |g_nd| rows reduced, and the partial row after them
+    done, carry = [0] * len(keys), [head[:0]] * len(keys)
 
-    def blocks(j, lo, w_nd):
-        # whole rows of key j from row lo on, in blocks; omega/m * w, rooted,
-        # gives the bits of fading.sample_nakagami's draw
-        n, om_bn, om_nd = keys[j]
+    def blocks(j, w_nd):
+        # whole rows of key j after its done[j], in blocks; omega/m * w,
+        # rooted, gives the bits of fading.sample_nakagami's draw
+        n, om_nd = keys[j]
         sums = _row_sums if n < _COLUMN_SUMS_BELOW else lambda m: m.sum(axis=1)
         for at in range(0, w_nd.size, steps[j]):
             w = w_nd[at:at + steps[j]]
-            rows = slice(lo + at // n, lo + (at + w.size) // n)
+            rows = slice(done[j], done[j] + w.size // n)
+            done[j] = rows.stop
             a, b = (buffer[:w.size].reshape(-1, n) for buffer in scratch)
-            g_bn = head[rows.start * n:rows.stop * n].reshape(-1, n)
-            if not shared:   # else the head is rooted
-                g_bn = np.sqrt(np.multiply(g_bn, om_bn / m_bn, out=a), out=a)
             np.sqrt(np.multiply(w.reshape(-1, n), om_nd / m_nd, out=b), out=b)
-            d = sums(np.multiply(g_bn, b, out=a))
+            d = sums(np.multiply(head[rows.start * n:rows.stop * n].reshape(-1, n), b, out=a))
             yield j, rows, d * d, sums(np.multiply(b, b, out=b))
+
+    def step(j, w):
+        # key j's next |g_nd| variates w: the partial row, then whole rows
+        n = keys[j][0]
+        if carry[j].size:
+            fill = n - carry[j].size
+            row, w = np.concatenate((carry[j], w[:fill])), w[fill:]
+            if row.size < n:
+                carry[j] = row
+                return
+            yield from blocks(j, row)
+        whole = w.size // n * n
+        yield from blocks(j, w[:whole])
+        carry[j] = w[whole:].copy()
 
     # one run at equal shapes; else the head at m_bn, then the tail at m_nd
     runs = ([(m_bn, 2 * head.size, head)] if m_bn == m_nd else
             [(m_bn, head.size, head), (m_nd, head.size, None)])
     chunk = max(1, _BLOCK_AMPLITUDES // n_max) * n_max   # whole rows of the largest key
-    # per key: |g_nd| rows reduced, and the partial row after them
-    done, carry = [0] * len(keys), [None] * len(keys)
+    order = sorted(range(len(keys)), key=lambda j: keys[j][0])
     pos = rooted = 0
-    for shape, length, out in runs:
-        for w in _gamma_stream(rng, shape, length, out, pool, helpers, chunk):
-            pos += w.size
-            if pos < head.size:
-                continue
-            if pos == head.size:
-                for j in sorted(range(len(keys)), key=lambda j: keys[j][0]):
-                    n = keys[j][0]
-                    start = size * n
-                    if shared:   # the transmitter hop's amplitudes, once per job
-                        part = head[rooted:start]
-                        np.sqrt(np.multiply(part, keys[0][1] / m_bn, out=part), out=part)
-                        rooted = start
-                    in_head = min(size, size * (n_max - n) // n)
-                    yield from blocks(j, 0, head[start:start + in_head * n])
-                    done[j] = in_head
-                    carry[j] = head[start + in_head * n:2 * start].copy()
-                continue
-            for j, (n, _, _) in enumerate(keys):
-                taken = w[:max(0, 2 * size * n - (pos - w.size))]
-                if carry[j].size:
-                    fill = n - carry[j].size
-                    row, taken = np.concatenate((carry[j], taken[:fill])), taken[fill:]
-                    if row.size < n:
-                        carry[j] = row
-                        continue
-                    yield from blocks(j, done[j], row)
-                    done[j] += 1
-                whole = taken.size // n * n
-                yield from blocks(j, done[j], taken[:whole])
-                done[j] += whole // n
-                carry[j] = taken[whole:]
+    pieces = (w for shape, length, out in runs
+              for w in _gamma_stream(rng, shape, length, out, pool, helpers, chunk))
+    for w in pieces:
+        for j in order:
+            start = size * keys[j][0]
+            if rooted < start:   # only in the head: the transmitter hop, once per job
+                part = head[rooted:start]
+                np.sqrt(np.multiply(part, omega_bn / m_bn, out=part), out=part)
+                rooted = start
+            yield from step(j, w[max(0, start - pos):max(0, 2 * start - pos)])
+        pos += w.size
 
 
 def draw_realization(params: SystemParams, rng: np.random.Generator,
@@ -457,8 +447,9 @@ def draw_realization(params: SystemParams, rng: np.random.Generator,
     noise.check(size=k)
     x = np.empty(k)
     y = np.empty(k)
-    for _, rows, xb, yb in _stream_blocks(rng, params.m_bn, params.m_nd,
-                                          [(params.n, *hop_powers(params))], k):
+    omega_bn, omega_nd = hop_powers(params)
+    for _, rows, xb, yb in _stream_blocks(rng, params.m_bn, params.m_nd, omega_bn,
+                                          [(params.n, omega_nd)], k):
         x[rows] = xb
         y[rows] = yb
     if size is None:
@@ -534,16 +525,16 @@ def _outage_counts(x, y, counted) -> list[int]:
                                  < budget.ups_th)) for budget, which in counted]
 
 
-def _count_job(m_bn: float, m_nd: float, keys: dict, seed: int, index: int,
-               size: int, pool=None, helpers: int = 0) -> list[tuple[int, int]]:
+def _count_job(m_bn: float, m_nd: float, omega_bn: float, keys: dict, seed: int,
+               index: int, size: int, pool=None, helpers: int = 0) -> list[tuple[int, int]]:
     # batch `index` of one stream group, drawn once for all its fading keys
-    # (with `helpers` drawing ahead on pool); keys maps (n, omega_bn,
-    # omega_nd) to its request indices and their (budget, which) pairs.
-    # Returns (request, outage count) pairs.
+    # (with `helpers` drawing ahead on pool); keys maps (n, omega_nd) to its
+    # request indices and their (budget, which) pairs.  Returns (request,
+    # outage count) pairs.
     requests = list(keys.values())
     counts = [[0] * len(ids) for ids, _ in requests]
-    for j, _, x, y in _stream_blocks(_batch_rng(seed, index), m_bn, m_nd, list(keys),
-                                     size, pool, helpers):
+    for j, _, x, y in _stream_blocks(_batch_rng(seed, index), m_bn, m_nd, omega_bn,
+                                     list(keys), size, pool, helpers):
         for c, k in enumerate(_outage_counts(x, y, requests[j][1])):
             counts[j][c] += k
     return [pair for (ids, _), got in zip(requests, counts) for pair in zip(ids, got)]
@@ -639,10 +630,11 @@ def estimate_outages(requests, config: McConfig = McConfig(),
                 f"n, batch: a batch of {rows} draws at n = {params.n} holds "
                 f"{rows * params.n} transmitter-hop amplitudes, past the cap of "
                 f"{_MAX_BATCH_AMPLITUDES} (1 GiB); lower batch")
-        # keys with equal shapes read one Gamma stream whatever their n
-        stream = (params.m_bn, params.m_nd,
+        # keys with equal shapes read one Gamma stream whatever their n; a
+        # job roots one transmitter hop
+        stream = (params.m_bn, params.m_nd, link.omega_bn,
                   None if params.m_bn == params.m_nd else params.n)
-        key = (params.n, link.omega_bn, link.omega_nd)
+        key = (params.n, link.omega_nd)
         ids, counted = streams.setdefault(stream, {}).setdefault(key, ([], []))
         ids.append(i)
         counted.append((link.budget, which))
@@ -653,8 +645,8 @@ def estimate_outages(requests, config: McConfig = McConfig(),
                           f"jobs, past the cap of {_MAX_JOBS}; lower trials or "
                           "raise batch")
     sizes = list(enumerate(_batch_sizes(config.trials, config.batch)))
-    jobs = [(m_bn, m_nd, keys, config.seed, index, size)
-            for (m_bn, m_nd, _), keys in streams.items() for index, size in sizes]
+    jobs = [(m_bn, m_nd, omega_bn, keys, config.seed, index, size)
+            for (m_bn, m_nd, omega_bn, _), keys in streams.items() for index, size in sizes]
     helpers = _helper_plan(workers, len(jobs))
     # one job runs on this thread, and its helpers on the pool; more jobs
     # run on the pool, with their helpers beside them

@@ -598,7 +598,7 @@ class TestGnuplot:
     def test_script_filters_by_mode(self, tmp_path):
         script = str(tmp_path / "plot.gp")
         write_gnuplot_script("data.csv", script, ["analytic_lb", "mc_exact"])
-        text = open(script, encoding="utf-8").read()
+        text = Path(script).read_text(encoding="utf-8")
         assert "set logscale y" in text
         assert text.count("strcol(2)") == 2
         assert "'analytic_lb'" in text and "'mc_exact'" in text
@@ -1083,7 +1083,7 @@ class TestMain:
         script = str(tmp_path / "plot.gp")
         assert main(["sweep", "--config", config, "--out", out,
                      "--modes", "analytic_lb", "--gnuplot", script]) == 0
-        text = open(script, encoding="utf-8").read()
+        text = Path(script).read_text(encoding="utf-8")
         assert out in text
         assert "analytic_lb" in text
 

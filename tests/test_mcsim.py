@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import inspect
 import itertools
 import math
 import random
@@ -209,14 +210,18 @@ class TestBlockedDraw:
 
 
 def group_draws(keys, m_bn, m_nd, size):
-    # X and Y of every key of a stream group, assembled from its blocks of
-    # batch 3 at seed 5; each row must come exactly once
+    # X and Y of every (n, omega_bn, omega_nd) key of a stream group,
+    # assembled from the blocks of batch 3 at seed 5, drawn once per
+    # omega_bn as estimate_outages splits them; each row must come exactly once
     out = [(np.full(size, np.nan), np.full(size, np.nan)) for _ in keys]
     seen = [np.zeros(size, dtype=int) for _ in keys]
-    for j, rows, x, y in mcsim._stream_blocks(mcsim._batch_rng(5, 3),
-                                              m_bn, m_nd, keys, size):
-        out[j][0][rows], out[j][1][rows] = x, y
-        seen[j][rows] += 1
+    for om_bn in {om_bn for _, om_bn, _ in keys}:
+        ids = [i for i, key in enumerate(keys) if key[1] == om_bn]
+        for j, rows, x, y in mcsim._stream_blocks(mcsim._batch_rng(5, 3), m_bn, m_nd, om_bn,
+                                                  [(keys[i][0], keys[i][2]) for i in ids],
+                                                  size):
+            out[ids[j]][0][rows], out[ids[j]][1][rows] = x, y
+            seen[ids[j]][rows] += 1
     assert all(np.all(s == 1) for s in seen)
     return out
 
@@ -400,7 +405,8 @@ class TestGammaStream:
         count = self.PILOT + 3 * self.PIECE + 17
         out = np.full(count, np.nan)
         pieces, rng, (stitched, fallbacks) = stitched_stream(2.0, count, helpers, out=out)
-        assert all(np.shares_memory(piece, out) for piece in pieces)
+        # out comes once, whole, not in slices
+        assert len(pieces) == 1 and pieces[0] is out
         assert_sequential([out], rng, 2.0, count)
         assert (stitched > 0, fallbacks) == (helpers > 0, 0)
 
@@ -475,8 +481,9 @@ class TestGammaStream:
         want = draw_realization(params, mcsim._batch_rng(5, 3), size=size)
         x, y = np.full(size, np.nan), np.full(size, np.nan)
         rng, pool = mcsim._batch_rng(5, 3), InOrder()
-        for _, rows, xb, yb in mcsim._stream_blocks(rng, m_bn, m_nd, [(n, *hop_powers(params))],
-                                                    size, pool, 2):
+        omega_bn, omega_nd = hop_powers(params)
+        for _, rows, xb, yb in mcsim._stream_blocks(rng, m_bn, m_nd, omega_bn,
+                                                    [(n, omega_nd)], size, pool, 2):
             x[rows], y[rows] = xb, yb
         assert pool.jobs > 0
         for got, w in zip((x, y), want):
@@ -979,6 +986,35 @@ class TestEstimateOutages:
         monkeypatch.setattr(mcsim, "_stream_blocks", counted)
         assert estimate_outages([(link, "ub") for link in links], cfg) == separate
         assert len(draws) == 2   # one per batch, not one per batch and link
+
+    # equal shapes at two transmitter-hop powers (d_bn 100 and 50 m), each
+    # near its own outage knee, and n = 4 and 12 at each
+    TWO_HOPS = [(SystemParams(n=n, d_bn=d_bn, pb=10.0 ** (dbw / 10.0)), which)
+                for d_bn, dbw in ((100.0, -68.0), (50.0, -78.0)) for n in (4, 12)
+                for which in ("exact", "ub")]
+    TWO_BATCHES = McConfig(trials=3_000, seed=6, batch=2_000)
+
+    def test_keys_at_two_transmitter_hop_powers_count_as_alone(self):
+        separate = [estimate_outage(p, self.TWO_BATCHES, which=w) for p, w in self.TWO_HOPS]
+        assert all(0.0 < est.p_hat < 1.0 for est in separate)
+        assert estimate_outages(on_links(self.TWO_HOPS), self.TWO_BATCHES) == separate
+
+    def test_each_draw_roots_one_transmitter_hop(self, monkeypatch):
+        # a job holds one transmitter-hop power, so its head is rooted in place
+        powers = []
+        original = mcsim._stream_blocks
+
+        def recorded(*args, **kwargs):
+            bound = inspect.signature(original).bind(*args, **kwargs)
+            powers.append(bound.arguments["omega_bn"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mcsim, "_stream_blocks", recorded)
+        links = on_links(self.TWO_HOPS)
+        estimate_outages(links, self.TWO_BATCHES)
+        hops = {link.omega_bn for link, _ in links}
+        assert len(hops) == 2
+        assert sorted(powers) == sorted(2 * list(hops))   # one draw per power and batch
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_a_one_job_plan_is_the_same_on_any_worker_count(self, monkeypatch, cpus):
