@@ -52,13 +52,13 @@ Counting follows the draw block by block, so no X or Y array of batch
 length is held.  The transmitter hop's amplitudes are formed once per job:
 the head is scaled and rooted in place, each key's |g_bn| rows before any
 block reads them, and every block reads its |g_bn| rows from it; a block
-forms only its |g_nd| amplitudes, and sums short rows column by column in
-numpy's own order (_row_sums), so X and Y keep every bit.  Per block it
-checks X, Y >= 0 once, forms lam*Y once per distinct lam (lam does not
-depend on the transmit power, so a power axis shares it), and per request
-forms only the selected SINR and counts the draws below the threshold; the
-block counts add up to the batch count.  sinr_exact and sinr_bounds are the
-same check and the same SINR helper over whole arrays.
+forms only its |g_nd| amplitudes, and sums its rows column by column in
+numpy's own order (_row_sums), so X and Y keep every bit at any n.  Per
+block it checks X, Y >= 0 once, forms lam*Y once per distinct lam (lam
+does not depend on the transmit power, so a power axis shares it), and per
+request forms only the selected SINR and counts the draws below the
+threshold; the block counts add up to the batch count.  sinr_exact and
+sinr_bounds are the same check and the same SINR helper over whole arrays.
 """
 from __future__ import annotations
 
@@ -87,12 +87,6 @@ _NORMAL_CI_MIN_COUNT = 30
 # successive blocks continue one stream, every reduction is per row, and
 # block counts add up.
 _BLOCK_AMPLITUDES = 2 ** 16
-
-# rows shorter than this are summed column by column (_row_sums), longer ones
-# by numpy's own per-row loop.  Per block, on one core of a Xeon host with
-# numpy 2.4: 41 against 287 us at n = 4, 68 against 74 at n = 24, 73
-# against 67 at n = 27 and 112 against 34 at n = 64
-_COLUMN_SUMS_BELOW = 27
 
 # Gamma variates per piece of a stream that one thread draws; like the
 # block size, pieces change no drawn bit
@@ -335,7 +329,13 @@ def _row_sums(m):
     of 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the terms
     left over in order; past 128, the sums of two halves split at a
     multiple of 8.  numpy adds the row's sum to 0.0, which only makes a
-    -0.0 sum +0.0 (a zero's sign changes no other sum)."""
+    -0.0 sum +0.0 (a zero's sign changes no other sum).
+
+    The drawer's one row sum, at every n.  Per block of 2**16 amplitudes on
+    one core of a Xeon host with numpy 2.4 it beats numpy's per-row loop up
+    to about 27 terms (61 against 90 us at n = 16) and loses past it (91,
+    119 and 167 against 52, 31 and 22 us at n = 32, 64 and 128: about 2, 5
+    and 8 % of the Monte Carlo time there); no preset draws past n = 20."""
     n = m.shape[1]
     if n < 8:
         s = m[:, 0] + 0.0
@@ -374,11 +374,11 @@ def _stream_blocks(rng: np.random.Generator, m_bn: float, m_nd: float, omega_bn:
     in each piece through one step: it completes the row its last piece
     left partial, reduces its whole rows in blocks of about
     _BLOCK_AMPLITUDES on the calling thread (in two scratch arrays of one
-    block; rows under _COLUMN_SUMS_BELOW long summed with _row_sums), and
-    copies what is left as the next partial row.  In the head's step each
-    key first roots the head in place up to size*n: its own |g_bn| rows, and
-    the |g_nd| rows of the smaller keys, reduced by then.  So every block
-    reads its |g_bn| amplitudes from the head.
+    block, every row summed with _row_sums), and copies what is left as the
+    next partial row.  In the head's step each key first roots the head in
+    place up to size*n: its own |g_bn| rows, and the |g_nd| rows of the
+    smaller keys, reduced by then.  So every block reads its |g_bn|
+    amplitudes from the head.
     """
     n_max = max(n for n, _ in keys)
     head = np.empty(size * n_max)
@@ -391,15 +391,15 @@ def _stream_blocks(rng: np.random.Generator, m_bn: float, m_nd: float, omega_bn:
         # whole rows of key j after its done[j], in blocks; omega/m * w,
         # rooted, gives the bits of fading.sample_nakagami's draw
         n, om_nd = keys[j]
-        sums = _row_sums if n < _COLUMN_SUMS_BELOW else lambda m: m.sum(axis=1)
         for at in range(0, w_nd.size, steps[j]):
             w = w_nd[at:at + steps[j]]
             rows = slice(done[j], done[j] + w.size // n)
             done[j] = rows.stop
             a, b = (buffer[:w.size].reshape(-1, n) for buffer in scratch)
             np.sqrt(np.multiply(w.reshape(-1, n), om_nd / m_nd, out=b), out=b)
-            d = sums(np.multiply(head[rows.start * n:rows.stop * n].reshape(-1, n), b, out=a))
-            yield j, rows, d * d, sums(np.multiply(b, b, out=b))
+            g_bn = head[rows.start * n:rows.stop * n].reshape(-1, n)
+            d = _row_sums(np.multiply(g_bn, b, out=a))
+            yield j, rows, d * d, _row_sums(np.multiply(b, b, out=b))
 
     def step(j, w):
         # key j's next |g_nd| variates w: the partial row, then whole rows

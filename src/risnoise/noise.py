@@ -7,10 +7,11 @@ internally; dB values (dBW) appear only at I/O boundaries.  SystemParams
 is frozen and checked against RULES when built.  Each public helper
 (receiver_noise_power, ris_noise_power, path_loss, sinr_threshold) is
 check() on the raw numbers it takes plus a private body that does not
-check; hop_powers, build_noise_budget and the link builder
-(outage.build_link_models) read a built SystemParams through those bodies,
-so no field is checked twice.  A body still refuses a result its checked
-inputs can put past the double range.
+check; hop_powers and build_noise_budget, the one route to a NoiseBudget,
+read a built SystemParams through those bodies, and the link builder
+(outage.build_link_models) calls both, so no field is checked twice.  A
+body still refuses a result its checked inputs can put past the double
+range.
 """
 from __future__ import annotations
 
@@ -277,23 +278,17 @@ class NoiseBudget:
 
 
 def build_noise_budget(params: SystemParams) -> NoiseBudget:
-    """Derive the SINR noise dials from system parameters.
+    """Derive the SINR noise dials from system parameters: the one route to
+    a NoiseBudget.
 
     The RIS noise power entering lambda is the aggregate surface noise
     N*alpha*k*T*B (the noise-table value), not the per-element k*T*B: the
     interference term therefore scales with N, bandwidth, and alpha, which is
     what the bundled reference outage/throughput results assume.  Build
     params with ris_noise=False (or sigma_r2=0) for the noiseless variant.
+    Refusals come in the order the dials are derived: the noise powers, the
+    signal scale (a psi of 0 or inf), then the threshold.
     """
-    sigma_d2, sigma_r2, lam = _noise_powers(params)
-    rho, psi = _signal_scale(params.pb, params.alpha, sigma_d2)
-    return NoiseBudget(sigma_d2=sigma_d2, sigma_r2=sigma_r2, lam=lam, rho=rho,
-                       psi=psi, ups_th=_sinr_threshold(params.rate, params.bw))
-
-
-def _noise_powers(params: SystemParams) -> tuple[float, float, float]:
-    """(sigma_d2, sigma_r2, lam) of built params: the budget's part that
-    does not read pb."""
     sigma_d2 = params.sigma_d2 if params.sigma_d2 is not None \
         else _receiver_noise_power(params.temp, params.bw, params.nf)
     if not params.ris_noise:
@@ -302,11 +297,7 @@ def _noise_powers(params: SystemParams) -> tuple[float, float, float]:
         sigma_r2 = params.sigma_r2
     else:
         sigma_r2 = _ris_noise_power(params.n, params.alpha, params.temp, params.bw)
-    return sigma_d2, sigma_r2, params.alpha * sigma_r2 / sigma_d2
-
-
-def _signal_scale(pb: float, alpha: float, sigma_d2: float) -> tuple[float, float]:
-    """(rho, psi) = (pb/sigma_d2, rho*alpha), refusing a psi of 0 or inf."""
+    pb, alpha = params.pb, params.alpha
     rho = pb / sigma_d2
     psi = rho * alpha
     if psi == 0.0:
@@ -318,7 +309,9 @@ def _signal_scale(pb: float, alpha: float, sigma_d2: float) -> tuple[float, floa
         raise ValueError(f"pb: the signal scale pb*alpha/sigma_d2 is past the "
                          f"double range, got pb={pb!r}, "
                          f"alpha={alpha!r}, sigma_d2={sigma_d2!r}")
-    return rho, psi
+    return NoiseBudget(sigma_d2=sigma_d2, sigma_r2=sigma_r2,
+                       lam=alpha * sigma_r2 / sigma_d2, rho=rho, psi=psi,
+                       ups_th=_sinr_threshold(params.rate, params.bw))
 
 
 TABLE_ALPHAS = tuple(round(0.1 * i, 1) for i in range(1, 11))

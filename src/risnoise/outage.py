@@ -30,8 +30,9 @@ scipy.optimize, each on first call, so evaluating a bound loads none of
 them.
 
 A link comes from build_link_models (build_link_model is its one-item
-case), which reads a built SystemParams through the unchecked formula
-bodies of noise and fading and derives once what the params of a pb-free
+case), which takes each link's noise budget from noise.build_noise_budget,
+reads the rest of a built SystemParams through the unchecked formula
+bodies of noise and fading, and derives once what the params of a pb-free
 group share.  The values checked after that are the derived ones: the
 cascade moments (gamma_approx), each pass's xi1 and xi2 factors, in one
 test, and the outages a sweep writes, in one test per point.
@@ -42,8 +43,10 @@ modes of ANALYTIC_MODES it selects, and forms only the pairs they need,
 node set depends on a link only through the key (y_shape, delta_int),
 which every point of a power, distance or reflection-factor axis shares,
 so the pairs with one key share one node set and one gammainc call; xi2 is
-one array call over all pairs.  outage_lb, outage_ub, evaluate_mode and
-outage_report are one-link calls of it, so the bounds are composed once.
+one array call over all pairs.  outage_lb, outage_ub, outage_asymptotic,
+evaluate_mode and outage_report are one-link calls of it, and xi1 and xi2
+the one-pair cases of its factor kernels, so every analytic outage is
+composed in one place.
 """
 from __future__ import annotations
 
@@ -57,20 +60,23 @@ from scipy.special import gammainc, gammaincc, logsumexp
 from . import specfun
 from .fading import (CascadeApprox, _cascade_moments, _y_gamma_params, cdf_X,
                      gamma_approx, pdf_Y)
-from .noise import (NoiseBudget, SystemParams, _noise_powers, _signal_scale,
-                    _sinr_threshold, check, hop_powers, watts_from_db)
+from .noise import (NoiseBudget, SystemParams, build_noise_budget, check,
+                    hop_powers, watts_from_db)
 from .specfun import (
     SLATER_GOOD_DIGITS,
     AccuracyError,
     at_slater_precision,
     integrate_semi_infinite,
     meijer_g_2_1_1_2_mpf,
-    reg_lower_gamma,
 )
 
 # lam below this floor (but nonzero) marks a regime where the two-factor
 # bracket adds nothing over the noise-only result; rows carry it as a flag
 LAMBDA_RELIABILITY_FLOOR = 1e-2
+
+# perfbench/tracer.py wraps the lower incomplete gamma under this module's
+# name; xi2 calls specfun's own (see _xi2_values), so its spans read 0
+reg_lower_gamma = specfun.reg_lower_gamma
 
 
 @dataclass(frozen=True)
@@ -88,31 +94,28 @@ class LinkModel:
 def build_link_models(params_seq) -> list[LinkModel]:
     """The LinkModel of each SystemParams, in order: the one route to a link.
 
-    Params that differ in pb alone, field by field and bit by bit, share
-    one derivation of the noise powers, the threshold, the hop powers, the
-    cascade match and the Y law; each link forms its own rho and psi from
-    its own pb.  Bitwise, because sigma_r2 = -0.0 compares equal to 0.0 and
-    gives lam = -0.0.  Every params raises what it would raise alone, in
-    the same order, so the first that cannot be built names its refusal.
+    Each link takes its noise budget from noise.build_noise_budget.  Params
+    that differ in pb alone, field by field and bit by bit, share one
+    derivation of the hop powers, the cascade match and the Y law.  Bitwise,
+    so that params in one group agree in every bit of every other field
+    whatever the shared values read (sigma_r2 = -0.0 compares equal to 0.0
+    but forms a group of its own).  Every params raises what it would raise
+    alone, in the same order, so the first that cannot be built names its
+    refusal.
     """
-    # per pb-free key: (sigma_d2, sigma_r2, lam), then the rest of the link
-    powers, shared = {}, {}
+    # per pb-free key: the hop powers, the cascade match and the Y law
+    shared = {}
     links = []
     for params in params_seq:
         if not isinstance(params, SystemParams):
             raise ValueError(f"params: SystemParams required, got a "
                              f"{type(params).__name__}")
+        budget = build_noise_budget(params)
         fields = vars(params).copy()
         del fields["pb"]
         # marshal writes a float's 8 bytes, and ints, bools and None by type
         key = marshal.dumps(tuple(fields.values()))
-        if key not in powers:
-            powers[key] = _noise_powers(params)
-        sigma_d2, sigma_r2, lam = powers[key]
-        # pb's refusals come before the threshold's, as in build_noise_budget
-        rho, psi = _signal_scale(params.pb, params.alpha, sigma_d2)
         if key not in shared:
-            ups_th = _sinr_threshold(params.rate, params.bw)
             omega_bn, omega_nd = hop_powers(params)
             mu, sigma2 = _cascade_moments(params.n, params.m_bn, params.m_nd,
                                           omega_bn, omega_nd)
@@ -131,13 +134,12 @@ def build_link_models(params_seq) -> list[LinkModel]:
                     names = "n, m_bn, m_nd"
                 raise ValueError(f"{names}: the cascade moments are refused: "
                                  f"{exc}") from None
-            shared[key] = (ups_th, omega_bn, omega_nd, approx,
+            shared[key] = (omega_bn, omega_nd, approx,
                            *_y_gamma_params(params.n, params.m_nd, omega_nd))
-        ups_th, omega_bn, omega_nd, approx, y_shape, y_rate = shared[key]
+        omega_bn, omega_nd, approx, y_shape, y_rate = shared[key]
         links.append(LinkModel(
-            params=params, budget=NoiseBudget(sigma_d2, sigma_r2, lam, rho, psi, ups_th),
-            omega_bn=omega_bn, omega_nd=omega_nd, approx=approx,
-            y_shape=y_shape, y_rate=y_rate))
+            params=params, budget=budget, omega_bn=omega_bn, omega_nd=omega_nd,
+            approx=approx, y_shape=y_shape, y_rate=y_rate))
     return links
 
 
@@ -167,19 +169,16 @@ def _xi2_arg(link: LinkModel, ups: float) -> float:
 
 def xi2(link: LinkModel, ups: float | None = None) -> float:
     """Noise-limited outage factor P(psi*X < ups)."""
-    # a threshold of 0 gives P(delta, 0) = 0
-    return reg_lower_gamma(link.approx.delta, _xi2_arg(link, _threshold(link, ups)))
+    return _xi2_values([(link, _threshold(link, ups))])[0]
 
 
 def _xi2_values(pairs: list[tuple[LinkModel, float]]) -> list[float]:
-    """xi2 at each (link, threshold) pair, thresholds already checked, in
-    one array call.
+    """xi2 = P(delta, x) at each (link, threshold) pair, thresholds already
+    checked, in one array call; a threshold of 0 gives P(delta, 0) = 0.
 
-    It calls specfun.reg_lower_gamma, the same ufunc and checks as xi2, not
-    this module's global: the benchmark tracer patches that global, and a
-    call from outside an outage_report span would count its time twice.
-    Once the benchmark stops patching module globals by name, xi2 can be
-    the one-pair case of this function.
+    It calls specfun.reg_lower_gamma, not this module's global: the
+    benchmark tracer patches that global, and a call from outside an
+    outage_report span would count its time twice.
     """
     return specfun.reg_lower_gamma(
         np.array([link.approx.delta for link, _ in pairs]),
@@ -456,8 +455,9 @@ def xi2_asymptotic(link: LinkModel, ups: float | None = None) -> float:
 
 
 def outage_asymptotic(link: LinkModel) -> float:
-    """High-power outage slope line: composition of the asymptotic factors."""
-    return compose_outage(xi1_asymptotic(link), xi2_asymptotic(link))
+    """High-power outage slope line, the composition of the asymptotic
+    factors: outage_reports on the link alone."""
+    return evaluate_mode(link, "asymptotic")
 
 
 def diversity_order(approx: CascadeApprox) -> float:

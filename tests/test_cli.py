@@ -465,10 +465,10 @@ class TestSweepCsv:
                                                          monkeypatch):
         # one checked SystemParams per grid value and its unchecked noiseless
         # twin, and all 6 links (3 values x noisy, noiseless) from one
-        # build_link_models call, whatever the 12 rows per value.  The three
-        # noisy links share one pb-free derivation, and so do the three
-        # noiseless ones.
-        built = {"params": 0, "twins": 0, "calls": 0, "links": 0, "noise powers": 0,
+        # build_link_models call, whatever the 12 rows per value.  Each link
+        # takes its own noise budget; the three noisy links share one pb-free
+        # derivation of the rest, and so do the three noiseless ones.
+        built = {"params": 0, "twins": 0, "calls": 0, "links": 0, "budgets": 0,
                  "hops": 0}
         check = noise.SystemParams.__post_init__
         twin = noise.SystemParams.noiseless
@@ -496,13 +496,13 @@ class TestSweepCsv:
         monkeypatch.setattr(noise.SystemParams, "__post_init__", counted_check)
         monkeypatch.setattr(noise.SystemParams, "noiseless", counted_twin)
         monkeypatch.setattr(cli, "build_link_models", counted_links)
-        monkeypatch.setattr(outage, "_noise_powers",
-                            counted("noise powers", outage._noise_powers))
+        monkeypatch.setattr(outage, "build_noise_budget",
+                            counted("budgets", outage.build_noise_budget))
         monkeypatch.setattr(outage, "hop_powers", counted("hops", outage.hop_powers))
         run_sweep(write_config(tmp_path, EVERY_MODE_SWEEP),
                   str(tmp_path / "every.csv"), workers=1)
         assert built == {"params": 3, "twins": 3, "calls": 1, "links": 6,
-                         "noise powers": 2, "hops": 2}
+                         "budgets": 6, "hops": 2}
 
     def test_an_analytic_sweep_checks_each_value_once(self, tmp_path, monkeypatch):
         # 5 powers, noisy and noiseless: the rule table runs on the config

@@ -1,7 +1,7 @@
 """What a sweep imports, the module entry point, the package names the
 benchmark under perfbench/ looks up, the one body per check that validate
-and the release gates share, the one route to a link, and the one place
-the Monte Carlo drawer hands work to a pool."""
+and the release gates share, the one route to a link and to each derived
+quantity, and the one place the Monte Carlo drawer hands work to a pool."""
 import ast
 import importlib
 import itertools
@@ -320,8 +320,8 @@ def _measures_gate11(call: ast.Call, routes) -> bool:
                for a, b in itertools.permutations(reached, 2))
 
 
-def _package_functions() -> dict[str, ast.FunctionDef]:
-    return {node.name: node for path in sorted(PACKAGE.glob("*.py"))
+def _package_functions(files: str = "*.py") -> dict[str, ast.FunctionDef]:
+    return {node.name: node for path in sorted(PACKAGE.glob(files))
             for node in ast.parse(path.read_text(encoding="utf-8")).body
             if isinstance(node, ast.FunctionDef)}
 
@@ -357,6 +357,35 @@ class TestOneLinkRoute:
         builders = [name for name, func in _package_functions().items()
                     if "LinkModel" in _calls(func)]
         assert builders == ["build_link_models"]
+
+
+class TestOneRoutePerQuantity:
+    """The noise budget, the factors xi1 and xi2, the composed outage and a
+    Monte Carlo row sum each come from one function; the one-link and
+    one-pair calls go through it."""
+
+    @staticmethod
+    def callers(functions, *callees) -> list[str]:
+        return sorted(name for name, func in functions.items()
+                      if _calls(func) & set(callees))
+
+    def test_only_build_noise_budget_constructs_a_budget(self):
+        assert self.callers(_package_functions(), "NoiseBudget") == ["build_noise_budget"]
+
+    def test_only_the_factor_kernels_call_the_incomplete_gamma(self):
+        assert self.callers(_package_functions("outage.py"), "gammainc", "gammaincc",
+                            "reg_lower_gamma") == ["_xi1_values", "_xi2_values"]
+
+    def test_only_the_analytic_pass_composes_an_outage(self):
+        assert self.callers(_package_functions(), "_compose", "compose_outage") \
+            == ["compose_outage", "outage_reports"]
+
+    def test_the_drawer_sums_every_row_with_row_sums(self):
+        calls = [node for node in ast.walk(_package_functions()["_stream_blocks"])
+                 if isinstance(node, ast.Call)]
+        assert "_row_sums" in {_callee(call) for call in calls}
+        assert [call for call in calls if isinstance(call.func, ast.Attribute)
+                and call.func.attr == "sum"] == []
 
 
 class TestHelpersOnlyDraw:

@@ -132,11 +132,16 @@ class TestBlockedDraw:
         self.assert_blocks_change_no_bit(monkeypatch, 10, m_bn, m_nd)
 
     # the oracle sums rows with numpy; here n = 1, 3 and 5 take _row_sums'
-    # branch under 8 columns, 24 its running sums, and 40 numpy's own sum
+    # branch under 8 columns, and 24 and 40 its running sums
     @pytest.mark.parametrize("n", [1, 3, 5, 24, 40])
     @pytest.mark.parametrize("m_bn, m_nd", SHAPES)
     def test_block_size_changes_no_bit_at_any_row_length(self, monkeypatch, n, m_bn, m_nd):
         self.assert_blocks_change_no_bit(monkeypatch, n, m_bn, m_nd)
+
+    def test_block_size_changes_no_bit_past_128_columns(self, monkeypatch):
+        # _row_sums' split halves through the drawer, on one shape pair (the
+        # nine pairs would add about 6 s to the suite)
+        self.assert_blocks_change_no_bit(monkeypatch, 130, 2.0, 2.0)
 
     def test_row_sums_are_numpys_bit_for_bit(self):
         # numpy's pairwise order: under 8 columns, up to 128, and split
@@ -582,12 +587,12 @@ class TestRealThreads:
 
 class TestHandOver:
     """Once the plan has no helper piece left it hands the rest of the run
-    over to the calling thread: the helpers go idle, and no later plan
+    over to the calling thread: the plan is closed, and no later plan
     submits another draw."""
 
     @pytest.mark.parametrize("shape", [0.5, 2.0])
     @pytest.mark.parametrize("helpers", [1, 2])
-    def test_no_draw_is_submitted_after_idle(self, shape, helpers):
+    def test_a_closed_plan_submits_no_further_draw(self, shape, helpers):
         # 18,000 to 19,000 variates past the pilot and one or two pieces: the
         # last piece planned leaves the rest to the calling thread, and a
         # plan made again once no piece was pending would submit one more
